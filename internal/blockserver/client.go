@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"shiftedmirror/internal/crc32c"
 	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/raid"
 )
@@ -66,15 +65,13 @@ type Client struct {
 	// broken is set once a transport or framing error leaves the stream
 	// desynchronized; every later op fails fast with it.
 	broken error
-	// Per-connection scratch, guarded by mu, so steady-state I/O builds
-	// and parses frames without allocating: hdr for fixed-size headers,
-	// frame for variable-size ones, bufs/nb for vectored sends, crcs for
-	// carried checksums.
-	hdr   [16]byte
-	frame []byte
-	bufs  [][]byte
-	nb    net.Buffers
-	crcs  []uint32
+	// The synchronous framing's per-connection scratch, guarded by mu,
+	// so steady-state exchanges encode and decode without allocating: x
+	// is the call being exchanged, nb the persistent writev header
+	// (net.Buffers.WriteTo consumes its receiver, so keeping it a field
+	// stops the slice header escaping per op).
+	x  call
+	nb net.Buffers
 	// Watchdog state for the op in flight (see beginOp).
 	stop, watchdogDone chan struct{}
 	armed              bool
@@ -116,8 +113,7 @@ func DialContext(ctx context.Context, addr string, cfg Config) (*Client, error) 
 		}
 	}
 	if c.features&FeaturePipeline != 0 {
-		c.pipe = newPipe(c.conn, cfg.PipeWindow, cfg.OpTimeout,
-			c.features&FeatureCRC != 0, cfg.PipeStats)
+		c.pipe = newPipe(c.conn, cfg.PipeWindow, cfg.OpTimeout, cfg.PipeStats)
 	}
 	return c, nil
 }
@@ -231,13 +227,11 @@ func (c *Client) Broken() error {
 	return c.broken
 }
 
-// beginOp opens one request/response exchange: it takes the client
-// lock, fails fast on a poisoned connection or dead context, arms the
-// per-op deadline (the tighter of cfg.OpTimeout and the context
-// deadline), and starts the cancellation watchdog. Every successful
-// beginOp must be paired with endOp. The hot I/O methods call the pair
-// directly instead of passing a closure to do(), which is what keeps
-// their steady state at zero allocations.
+// beginOp opens one synchronous exchange: it takes the client lock,
+// fails fast on a poisoned connection or dead context, arms the per-op
+// deadline (the tighter of cfg.OpTimeout and the context deadline), and
+// starts the cancellation watchdog. Every successful beginOp must be
+// paired with endOp.
 //
 // Cancellation is honored mid-frame, not just at op start: a watchdog
 // goroutine slams the connection deadline into the past the moment ctx
@@ -311,74 +305,43 @@ func (c *Client) endOp(ctx context.Context, err error) error {
 	return err
 }
 
-// do runs one exchange as a closure between beginOp and endOp; the
-// management ops use it, the hot data path inlines the pair instead.
-func (c *Client) do(ctx context.Context, fn func() error) error {
+// start opens one operation and returns the call to encode it into: a
+// pooled op on a pipelined connection, or — under the connection lock
+// beginOp takes — the client's own call on a synchronous one. Every
+// successful start must be paired with finish.
+func (c *Client) start(ctx context.Context) (*call, error) {
+	if c.pipe != nil {
+		return &getPipeOp().call, nil
+	}
 	if err := c.beginOp(ctx); err != nil {
+		return nil, err
+	}
+	return &c.x, nil
+}
+
+// finish runs the operation encoded in x in the connection's framing
+// and returns its decoded result.
+func (c *Client) finish(ctx context.Context, x *call) (result, error) {
+	if x.pop != nil {
+		return c.pipe.run(ctx, x.pop)
+	}
+	err := c.exchange(x)
+	res := x.res
+	x.release()
+	return res, c.endOp(ctx, err)
+}
+
+// exchange sends x's request at once — write payloads go out by
+// writev, never copied — and decodes the response straight off the
+// connection.
+func (c *Client) exchange(x *call) error {
+	if err := sendBufs(c.conn, &c.nb, x.bufs); err != nil {
 		return err
 	}
-	return c.endOp(ctx, fn())
-}
-
-// growFrame returns the client's reusable frame scratch resized to n
-// bytes, growing the backing array only when needed. Callers hold mu.
-func (c *Client) growFrame(n int) []byte {
-	if cap(c.frame) < n {
-		c.frame = make([]byte, n)
-	}
-	return c.frame[:n]
-}
-
-// readStatus consumes a response header using the client's scratch, so
-// the success path does not allocate (the package-level readStatus
-// reads into fresh stack buffers that escape into the Reader).
-func (c *Client) readStatus() error {
-	if _, err := io.ReadFull(c.conn, c.hdr[:1]); err != nil {
+	if _, err := io.ReadFull(c.conn, x.scratch[:1]); err != nil {
 		return err
 	}
-	switch c.hdr[0] {
-	case statusOK:
-		return nil
-	case statusCRC:
-		if _, err := io.ReadFull(c.conn, c.hdr[:12]); err != nil {
-			return err
-		}
-		return &CRCError{
-			Range: int(binary.BigEndian.Uint32(c.hdr[:])),
-			Want:  binary.BigEndian.Uint32(c.hdr[4:]),
-			Got:   binary.BigEndian.Uint32(c.hdr[8:]),
-			Write: true,
-		}
-	default:
-		if _, err := io.ReadFull(c.conn, c.hdr[:4]); err != nil {
-			return err
-		}
-		n := binary.BigEndian.Uint32(c.hdr[:4])
-		if n > 1<<16 {
-			return fmt.Errorf("%w: oversized error message (%d bytes)", ErrProtocol, n)
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(c.conn, msg); err != nil {
-			return err
-		}
-		return &RemoteError{Msg: string(msg)}
-	}
-}
-
-// readUint32 reads a big-endian uint32 using the client's scratch.
-func (c *Client) readUint32() (uint32, error) {
-	if _, err := io.ReadFull(c.conn, c.hdr[:4]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(c.hdr[:4]), nil
-}
-
-// roundTrip sends a request frame and processes the status header.
-func (c *Client) roundTrip(req []byte) error {
-	if _, err := c.conn.Write(req); err != nil {
-		return err
-	}
-	return c.readStatus()
+	return x.decode(c.conn, x.scratch[0], true)
 }
 
 // ReadAt implements io.ReaderAt against the remote device.
@@ -392,32 +355,15 @@ func (c *Client) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error
 	if len(p) > MaxIOSize {
 		return 0, fmt.Errorf("%w: read of %d bytes exceeds limit", ErrProtocol, len(p))
 	}
-	if c.pipe != nil {
-		return c.pipe.read(ctx, p, off)
-	}
-	if err := c.beginOp(ctx); err != nil {
-		return 0, err
-	}
-	n, err := c.read(p, off)
-	return n, c.endOp(ctx, err)
-}
-
-// read runs the OpRead exchange; the caller holds the op via beginOp.
-func (c *Client) read(p []byte, off int64) (int, error) {
-	c.hdr[0] = OpRead
-	binary.BigEndian.PutUint64(c.hdr[1:9], uint64(off))
-	binary.BigEndian.PutUint32(c.hdr[9:13], uint32(len(p)))
-	if err := c.roundTrip(c.hdr[:13]); err != nil {
-		return 0, err
-	}
-	m, err := c.readUint32()
+	x, err := c.start(ctx)
 	if err != nil {
 		return 0, err
 	}
-	if int(m) != len(p) {
-		return 0, fmt.Errorf("%w: server returned %d bytes for a %d-byte read", ErrProtocol, m, len(p))
+	x.encRead(p, off)
+	if _, err := c.finish(ctx, x); err != nil {
+		return 0, err
 	}
-	return io.ReadFull(c.conn, p)
+	return len(p), nil
 }
 
 // ReadV gathers len(vecs) ranges in one round trip (OpReadV), filling
@@ -454,66 +400,13 @@ func (c *Client) ReadVCtx(ctx context.Context, vecs []Vec, dst [][]byte) error {
 	if total > MaxIOSize {
 		return fmt.Errorf("%w: gather of %d bytes exceeds limit", ErrProtocol, total)
 	}
-	if c.pipe != nil {
-		return c.pipe.readV(ctx, vecs, dst, total)
-	}
-	if err := c.beginOp(ctx); err != nil {
-		return err
-	}
-	return c.endOp(ctx, c.readV(vecs, dst, total))
-}
-
-// readV runs the gather exchange; the caller holds the op via beginOp.
-// Payloads land directly in the caller's dst slices — the client never
-// copies them through an intermediate buffer.
-func (c *Client) readV(vecs []Vec, dst [][]byte, total int64) error {
-	op, crcMode := OpReadV, false
-	if c.features&FeatureCRC != 0 {
-		op, crcMode = OpReadVC, true
-	}
-	req := c.growFrame(5 + vecHdrSize*len(vecs))
-	req[0] = op
-	binary.BigEndian.PutUint32(req[1:5], uint32(len(vecs)))
-	for i, v := range vecs {
-		putVecHdr(req[5+vecHdrSize*i:], v)
-	}
-	if err := c.roundTrip(req); err != nil {
-		return err
-	}
-	m, err := c.readUint32()
+	x, err := c.start(ctx)
 	if err != nil {
 		return err
 	}
-	if int64(m) != total {
-		return fmt.Errorf("%w: server returned %d bytes for a %d-byte gather", ErrProtocol, m, total)
-	}
-	if crcMode {
-		raw := c.growFrame(4 * len(vecs))
-		if _, err := io.ReadFull(c.conn, raw); err != nil {
-			return err
-		}
-		if cap(c.crcs) < len(vecs) {
-			c.crcs = make([]uint32, len(vecs))
-		}
-		c.crcs = c.crcs[:len(vecs)]
-		for i := range vecs {
-			c.crcs[i] = binary.BigEndian.Uint32(raw[4*i:])
-		}
-	}
-	// On a CRC mismatch keep consuming the remaining ranges: the frame
-	// must be fully drained for the stream to stay synchronized.
-	var crcErr error
-	for i, d := range dst {
-		if _, err := io.ReadFull(c.conn, d); err != nil {
-			return err
-		}
-		if crcMode && crcErr == nil {
-			if got := crc32c.Sum(d); got != c.crcs[i] {
-				crcErr = &CRCError{Range: i, Want: c.crcs[i], Got: got}
-			}
-		}
-	}
-	return crcErr
+	x.encReadV(c.HasCRC(), vecs, dst, total)
+	_, err = c.finish(ctx, x)
+	return err
 }
 
 // WriteAt implements io.WriterAt against the remote device.
@@ -527,36 +420,15 @@ func (c *Client) WriteAtCtx(ctx context.Context, p []byte, off int64) (int, erro
 	if len(p) > MaxIOSize {
 		return 0, fmt.Errorf("%w: write of %d bytes exceeds limit", ErrProtocol, len(p))
 	}
-	if c.pipe != nil {
-		if err := c.pipe.write(ctx, p, off); err != nil {
-			return 0, err
-		}
-		return len(p), nil
-	}
-	if err := c.beginOp(ctx); err != nil {
+	x, err := c.start(ctx)
+	if err != nil {
 		return 0, err
 	}
-	if err := c.endOp(ctx, c.write(p, off)); err != nil {
+	x.encWrite(p, off)
+	if _, err := c.finish(ctx, x); err != nil {
 		return 0, err
 	}
 	return len(p), nil
-}
-
-// write runs the OpWrite exchange; the caller holds the op via beginOp.
-func (c *Client) write(p []byte, off int64) error {
-	c.hdr[0] = OpWrite
-	binary.BigEndian.PutUint64(c.hdr[1:9], uint64(off))
-	binary.BigEndian.PutUint32(c.hdr[9:13], uint32(len(p)))
-	// Vectored write (writev on TCP) sends header + payload in one frame
-	// without copying the payload into a request buffer. c.nb is the
-	// persistent Buffers header so WriteTo's consuming reslice does not
-	// force a per-op allocation.
-	c.bufs = append(c.bufs[:0], c.hdr[:13], p)
-	c.nb = net.Buffers(c.bufs)
-	if _, err := c.nb.WriteTo(c.conn); err != nil {
-		return err
-	}
-	return c.readStatus()
 }
 
 // WriteV scatters len(vecs) ranges in one round trip (OpWriteV),
@@ -600,98 +472,13 @@ func (c *Client) WriteVCtx(ctx context.Context, vecs []Vec, data [][]byte) (int,
 	if total > MaxIOSize {
 		return 0, fmt.Errorf("%w: scatter of %d bytes exceeds limit", ErrProtocol, total)
 	}
-	if c.pipe != nil {
-		return c.pipe.writeV(ctx, vecs, data)
-	}
-	if err := c.beginOp(ctx); err != nil {
+	x, err := c.start(ctx)
+	if err != nil {
 		return 0, err
 	}
-	applied, err := c.writeV(vecs, data)
-	return applied, c.endOp(ctx, err)
-}
-
-// writeV runs the scatter exchange; the caller holds the op via
-// beginOp. All range headers are packed into the client's frame scratch
-// and interleaved with the payload slices in a single vectored send
-// (writev on TCP), so the payloads are never copied client-side.
-func (c *Client) writeV(vecs []Vec, data [][]byte) (int, error) {
-	op, hsz, crcMode := OpWriteV, vecHdrSize, false
-	if c.features&FeatureCRC != 0 {
-		op, hsz, crcMode = OpWriteVC, vecHdrCRCSize, true
-	}
-	hdrs := c.growFrame(5 + hsz*len(vecs))
-	hdrs[0] = op
-	binary.BigEndian.PutUint32(hdrs[1:5], uint32(len(vecs)))
-	if cap(c.bufs) < 2*len(vecs) {
-		c.bufs = make([][]byte, 0, 2*len(vecs))
-	}
-	bufs := c.bufs[:0]
-	start, at := 0, 5
-	for i, v := range vecs {
-		putVecHdr(hdrs[at:], v)
-		if crcMode {
-			binary.BigEndian.PutUint32(hdrs[at+12:], crc32c.Sum(data[i]))
-		}
-		at += hsz
-		bufs = append(bufs, hdrs[start:at], data[i])
-		start = at
-	}
-	c.bufs = bufs
-	c.nb = net.Buffers(bufs)
-	if _, err := c.nb.WriteTo(c.conn); err != nil {
-		return 0, err
-	}
-	if _, err := io.ReadFull(c.conn, c.hdr[:1]); err != nil {
-		return 0, err
-	}
-	switch c.hdr[0] {
-	case statusOK:
-		m, err := c.readUint32()
-		if err != nil {
-			return 0, err
-		}
-		if int(m) != len(vecs) {
-			return 0, fmt.Errorf("%w: server applied %d of %d scatter ranges without error", ErrProtocol, m, len(vecs))
-		}
-		return len(vecs), nil
-	case statusCRC:
-		// failed(4) | want(4) | got(4): the leading `failed` ranges are
-		// durable, range `failed` was rejected as corrupt in flight.
-		if _, err := io.ReadFull(c.conn, c.hdr[:12]); err != nil {
-			return 0, err
-		}
-		f := binary.BigEndian.Uint32(c.hdr[:])
-		if int64(f) >= int64(len(vecs)) {
-			return 0, fmt.Errorf("%w: failed-range index %d beyond %d ranges", ErrProtocol, f, len(vecs))
-		}
-		return int(f), &CRCError{
-			Range: int(f),
-			Want:  binary.BigEndian.Uint32(c.hdr[4:]),
-			Got:   binary.BigEndian.Uint32(c.hdr[8:]),
-			Write: true,
-		}
-	default:
-		// Extended error response: failed(4) | len(4) | message.
-		f, err := c.readUint32()
-		if err != nil {
-			return 0, err
-		}
-		if int64(f) >= int64(len(vecs)) {
-			return 0, fmt.Errorf("%w: failed-range index %d beyond %d ranges", ErrProtocol, f, len(vecs))
-		}
-		n, err := c.readUint32()
-		if err != nil {
-			return 0, err
-		}
-		if n > 1<<16 {
-			return 0, fmt.Errorf("%w: oversized error message (%d bytes)", ErrProtocol, n)
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(c.conn, msg); err != nil {
-			return 0, err
-		}
-		return int(f), &RemoteError{Msg: string(msg)}
-	}
+	x.encWriteV(c.HasCRC(), vecs, data)
+	res, err := c.finish(ctx, x)
+	return res.applied, err
 }
 
 // CrcV fetches freshly recomputed CRC-32Cs of len(vecs) store ranges in
@@ -714,153 +501,56 @@ func (c *Client) CrcV(ctx context.Context, vecs []Vec, out []uint32) error {
 	if _, err := checkVecs(vecs); err != nil {
 		return err
 	}
-	if c.pipe != nil {
-		return c.pipe.crcV(ctx, vecs, out)
-	}
-	if err := c.beginOp(ctx); err != nil {
+	x, err := c.start(ctx)
+	if err != nil {
 		return err
 	}
-	return c.endOp(ctx, c.crcV(vecs, out))
-}
-
-func (c *Client) crcV(vecs []Vec, out []uint32) error {
-	req := c.growFrame(5 + vecHdrSize*len(vecs))
-	req[0] = OpCrcV
-	binary.BigEndian.PutUint32(req[1:5], uint32(len(vecs)))
-	for i, v := range vecs {
-		putVecHdr(req[5+vecHdrSize*i:], v)
-	}
-	if err := c.roundTrip(req); err != nil {
-		return err
-	}
-	raw := c.growFrame(4 * len(vecs))
-	if _, err := io.ReadFull(c.conn, raw); err != nil {
-		return err
-	}
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(raw[4*i:])
-	}
-	return nil
+	x.encCrcV(vecs, out)
+	_, err = c.finish(ctx, x)
+	return err
 }
 
 // Size returns the remote device's logical capacity.
 func (c *Client) Size() (int64, error) {
-	if c.pipe != nil {
-		op, err := c.pipe.mgmt(context.Background(), OpSize, nil)
-		if err != nil {
-			return 0, err
-		}
-		v := op.u64
-		putPipeOp(op)
-		return int64(v), nil
-	}
-	var v uint64
-	err := c.do(context.Background(), func() error {
-		c.hdr[0] = OpSize
-		if err := c.roundTrip(c.hdr[:1]); err != nil {
-			return err
-		}
-		var err error
-		v, err = readUint64(c.conn)
-		return err
-	})
-	return int64(v), err
+	res, err := c.mgmt(OpSize, raid.DiskID{})
+	return int64(res.size), err
 }
 
 // FailDisk marks a remote disk failed.
-func (c *Client) FailDisk(id raid.DiskID) error { return c.diskOp(OpFail, id) }
+func (c *Client) FailDisk(id raid.DiskID) error {
+	_, err := c.mgmt(OpFail, id)
+	return err
+}
 
 // Rebuild reconstructs a remote failed disk.
-func (c *Client) Rebuild(id raid.DiskID) error { return c.diskOp(OpRebuild, id) }
-
-func (c *Client) diskOp(op byte, id raid.DiskID) error {
-	if c.pipe != nil {
-		var extra [5]byte
-		extra[0] = byte(id.Role)
-		binary.BigEndian.PutUint32(extra[1:], uint32(id.Index))
-		res, err := c.pipe.mgmt(context.Background(), op, extra[:])
-		if err != nil {
-			return err
-		}
-		putPipeOp(res)
-		return nil
-	}
-	return c.do(context.Background(), func() error {
-		c.hdr[0] = op
-		c.hdr[1] = byte(id.Role)
-		binary.BigEndian.PutUint32(c.hdr[2:6], uint32(id.Index))
-		return c.roundTrip(c.hdr[:6])
-	})
+func (c *Client) Rebuild(id raid.DiskID) error {
+	_, err := c.mgmt(OpRebuild, id)
+	return err
 }
 
 // Scrub runs a remote consistency scrub.
 func (c *Client) Scrub() error {
-	if c.pipe != nil {
-		op, err := c.pipe.mgmt(context.Background(), OpScrub, nil)
-		if err != nil {
-			return err
-		}
-		putPipeOp(op)
-		return nil
-	}
-	return c.do(context.Background(), func() error {
-		c.hdr[0] = OpScrub
-		return c.roundTrip(c.hdr[:1])
-	})
+	_, err := c.mgmt(OpScrub, raid.DiskID{})
+	return err
 }
 
 // Health fetches the remote service counters and failed-disk list.
 func (c *Client) Health() (dev.Health, []raid.DiskID, error) {
-	if c.pipe != nil {
-		op, err := c.pipe.mgmt(context.Background(), OpHealth, nil)
-		if err != nil {
-			return dev.Health{}, nil, err
-		}
-		h, failed := op.health, op.failed
-		putPipeOp(op)
-		return h, failed, nil
-	}
-	var h dev.Health
-	var failed []raid.DiskID
-	err := c.do(context.Background(), func() error {
-		c.hdr[0] = OpHealth
-		if err := c.roundTrip(c.hdr[:1]); err != nil {
-			return err
-		}
-		var vals [5]int64
-		for i := range vals {
-			v, err := readUint64(c.conn)
-			if err != nil {
-				return err
-			}
-			vals[i] = int64(v)
-		}
-		nFailed, err := readUint32(c.conn)
-		if err != nil {
-			return err
-		}
-		if nFailed > 1<<16 {
-			return fmt.Errorf("%w: implausible failed-disk count %d", ErrProtocol, nFailed)
-		}
-		failed = make([]raid.DiskID, 0, nFailed)
-		for i := uint32(0); i < nFailed; i++ {
-			id, err := readDiskID(c.conn)
-			if err != nil {
-				return err
-			}
-			failed = append(failed, id)
-		}
-		h = dev.Health{
-			ElementsRead:    vals[0],
-			ElementsWritten: vals[1],
-			DegradedReads:   vals[2],
-			ParityFallbacks: vals[3],
-			StripesRebuilt:  vals[4],
-		}
-		return nil
-	})
+	res, err := c.mgmt(OpHealth, raid.DiskID{})
 	if err != nil {
 		return dev.Health{}, nil, err
 	}
-	return h, failed, nil
+	return res.health, res.failed, nil
+}
+
+// mgmt runs OpSize or a management opcode; id is used by OpFail and
+// OpRebuild only.
+func (c *Client) mgmt(op byte, id raid.DiskID) (result, error) {
+	ctx := context.Background()
+	x, err := c.start(ctx)
+	if err != nil {
+		return result{}, err
+	}
+	x.encMgmt(op, id)
+	return c.finish(ctx, x)
 }

@@ -63,8 +63,8 @@ func NewMetrics() *Metrics {
 }
 
 // opAcct accumulates one request's payload accounting while it is being
-// served; dispatch hands it to the handler only when metrics or tracing
-// are enabled.
+// served; Server.account folds it into the metrics and tracer, when
+// either is attached, for both framings.
 type opAcct struct {
 	in, out   int64
 	remoteErr error // store-level error answered on a healthy connection
@@ -106,7 +106,7 @@ func (m *Metrics) Register(reg *obs.Registry) {
 		reg.RegisterCounter("sm_blockserver_op_errors_total",
 			"Requests answered with a remote error, by opcode.", &m.errs[op], "op", name)
 		reg.RegisterHistogram("sm_blockserver_op_duration_seconds",
-			"Request service time from opcode decode to response write, by opcode.", m.lat[op], "op", name)
+			"Request service time from opcode decode until the reply is handed to the connection's framing, by opcode.", m.lat[op], "op", name)
 	}
 	reg.RegisterCounter("sm_blockserver_bytes_in_total",
 		"Payload bytes received from clients (writes).", &m.bytesIn)

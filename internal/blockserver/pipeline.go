@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
@@ -13,19 +12,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shiftedmirror/internal/crc32c"
-	"shiftedmirror/internal/dev"
 	"shiftedmirror/internal/obs"
-	"shiftedmirror/internal/raid"
 )
 
 // This file is the client half of the pipelined wire mode
 // (FeaturePipeline): a single writer goroutine coalesces queued request
 // frames into one vectored write (many ops, one syscall), and a single
 // reader goroutine demuxes tagged responses to per-tag waiters, so many
-// operations share one connection with out-of-order completion. The
-// payload formats are exactly the synchronous ones; only the framing
-// differs (op|tag|payload requests, tag|status|payload responses).
+// operations share one connection with out-of-order completion. Ops are
+// encoded and decoded by the same codec as the synchronous framing
+// (codec.go); only the framing differs (op|tag|payload requests,
+// tag|status|payload responses).
 //
 // Cancellation never poisons the stream: a cancelled op abandons its
 // waiter, the reader later drains that tag's response into scratch, and
@@ -84,32 +81,14 @@ const (
 	pipeAbandoned
 )
 
-// pipeOp is one in-flight pipelined operation: the request frame, where
-// the response lands, and the rendezvous state between the submitting
-// goroutine, the writer, and the reader. Recycled through a sync.Pool so
-// the steady state allocates nothing.
+// pipeOp is one in-flight pipelined operation: the encoded call (its
+// request frame, response destinations, and decoded result) plus the
+// rendezvous state between the submitting goroutine, the writer, and
+// the reader. Recycled through a sync.Pool so the steady state
+// allocates nothing.
 type pipeOp struct {
-	op  byte
+	call
 	tag uint32
-
-	// Request frame: hdr holds op|tag plus all fixed headers; bufs is
-	// the slice list the writer feeds into the coalesced writev (header
-	// chunks interleaved with caller payload for writes).
-	hdr  []byte
-	bufs [][]byte
-
-	// Response decode inputs/outputs. dst are caller read buffers
-	// (touched only while the op is claimed, never after abandon);
-	// outCrcs is CrcV's caller slice; crcs is scratch for carried CRCs.
-	nvecs   int
-	total   int64
-	dst     [][]byte
-	outCrcs []uint32
-	crcs    []uint32
-	applied int
-	u64     uint64
-	health  dev.Health
-	failed  []raid.DiskID
 
 	err      error
 	enq      time.Time
@@ -125,7 +104,9 @@ type pipeOp struct {
 }
 
 var pipeOpPool = sync.Pool{New: func() any {
-	return &pipeOp{done: make(chan struct{}, 1), sent: make(chan struct{}, 2)}
+	op := &pipeOp{done: make(chan struct{}, 1), sent: make(chan struct{}, 2)}
+	op.tagLen, op.pop = 4, op
+	return op
 }}
 
 func getPipeOp() *pipeOp {
@@ -145,10 +126,6 @@ func getPipeOp() *pipeOp {
 		break
 	}
 	op.err = nil
-	op.applied = 0
-	op.u64 = 0
-	op.nvecs = 0
-	op.total = 0
 	op.deadline = time.Time{}
 	op.state.Store(pipeQueued)
 	return op
@@ -158,16 +135,7 @@ func getPipeOp() *pipeOp {
 // pipeDone, out of the waiters table, done signal consumed). Caller
 // payload references are dropped so the pool does not pin user memory.
 func putPipeOp(op *pipeOp) {
-	for i := range op.bufs {
-		op.bufs[i] = nil
-	}
-	op.bufs = op.bufs[:0]
-	for i := range op.dst {
-		op.dst[i] = nil
-	}
-	op.dst = op.dst[:0]
-	op.outCrcs = nil
-	op.failed = nil
+	op.release()
 	pipeOpPool.Put(op)
 }
 
@@ -184,7 +152,6 @@ type pipe struct {
 	conn      net.Conn
 	br        *bufio.Reader
 	opTimeout time.Duration
-	crcMode   bool // FeatureCRC also negotiated: vector ops travel as VC twins
 	stats     *PipeStats
 
 	window chan struct{} // in-flight token semaphore
@@ -204,8 +171,6 @@ type pipe struct {
 	// field stops the slice header escaping per batch).
 	wbufs [][]byte
 	nb    net.Buffers
-	// Reader scratch for fixed-size response fields.
-	rhdr [16]byte
 }
 
 // pipeReaderSize is the demux reader's buffer: big enough that a burst
@@ -218,7 +183,7 @@ const pipeReaderSize = 64 << 10
 // element-sized ops, shallow enough to bound per-connection memory.
 const DefaultPipeWindow = 32
 
-func newPipe(conn net.Conn, window int, opTimeout time.Duration, crcMode bool, stats *PipeStats) *pipe {
+func newPipe(conn net.Conn, window int, opTimeout time.Duration, stats *PipeStats) *pipe {
 	if window <= 0 {
 		window = DefaultPipeWindow
 	}
@@ -232,7 +197,6 @@ func newPipe(conn net.Conn, window int, opTimeout time.Duration, crcMode bool, s
 		conn:      conn,
 		br:        bufio.NewReaderSize(conn, pipeReaderSize),
 		opTimeout: opTimeout,
-		crcMode:   crcMode,
 		stats:     stats,
 		window:    make(chan struct{}, window),
 		reqCh:     make(chan *pipeOp, window),
@@ -267,9 +231,10 @@ func (p *pipe) terminalErr() error {
 // both goroutines, close the connection, and fail the in-flight
 // waiters. Ops the writer is mid-writev on are joined via their sent
 // signal first, so no caller resumes while a writev still references
-// its buffers; ops still queued are left to the writer's shutdown
-// drain, which is guaranteed to see them (submit enqueues under the
-// same lock fail uses to set the terminal error).
+// its buffers; ops still queued are left to the writer, which fails
+// them on its way out whether they are still in reqCh (submit enqueues
+// under the same lock fail uses to set the terminal error) or in the
+// batch it had just taken (see writeBatch).
 func (p *pipe) fail(err error) {
 	p.failOnce.Do(func() {
 		p.mu.Lock()
@@ -286,13 +251,11 @@ func (p *pipe) fail(err error) {
 					<-op.sent // the closed conn aborts the writev promptly
 				case pipeSent:
 					if op.state.CompareAndSwap(pipeSent, pipeDone) {
-						op.err = err
-						signalPipe(op.done)
-						p.releaseToken()
+						p.complete(op, err)
 						done = true
 					}
 				default:
-					// pipeQueued: the writer's shutdown drain delivers it.
+					// pipeQueued: the writer fails it on its way out.
 					// pipeAbandoned: the abandoner released its token and
 					// nobody waits; the GC reclaims it.
 					// pipeReceiving/pipeDone: the reader owns(-ed) it and
@@ -394,10 +357,11 @@ func (p *pipe) abandon(op *pipeOp) (callerOwns bool) {
 				p.releaseToken()
 				return false
 			}
-		case pipeReceiving:
-			<-op.done // the reader is writing our dst; join it
-			return true
-		default: // pipeDone
+		default: // pipeReceiving, pipeDone
+			// The op is being or has been completed: join its done
+			// signal — the reader may still be writing our dst — so the
+			// signal cannot land on the op after it is recycled.
+			<-op.done
 			return true
 		}
 	}
@@ -453,8 +417,13 @@ func (p *pipe) writeLoop() {
 func (p *pipe) writeBatch(batch []*pipeOp) bool {
 	select {
 	case <-p.quit:
-		// The pipe failed while this batch sat in the queue: leave every
-		// op in pipeQueued for the shutdown drain to deliver.
+		// The pipe failed while this batch sat in the queue. Its ops
+		// have left reqCh, where the shutdown drain looks, so deliver
+		// the terminal error to them here.
+		err := p.terminalErr()
+		for _, op := range batch {
+			p.failQueued(op, err)
+		}
 		return false
 	default:
 	}
@@ -477,10 +446,12 @@ func (p *pipe) writeBatch(batch []*pipeOp) bool {
 	if p.opTimeout > 0 {
 		p.conn.SetWriteDeadline(now.Add(p.opTimeout))
 	}
-	p.nb = net.Buffers(bufs)
-	_, werr := p.nb.WriteTo(p.conn)
+	// Counted before the writev, so an op whose reply has arrived is
+	// always in the counters already.
 	p.stats.Writevs.Inc()
 	p.stats.Frames.Add(int64(live))
+	p.nb = net.Buffers(bufs)
+	_, werr := p.nb.WriteTo(p.conn)
 	for _, op := range batch[:live] {
 		op.state.CompareAndSwap(pipeSending, pipeSent)
 		// Two signals: an abandoning caller and fail() may each join.
@@ -503,18 +474,30 @@ func (p *pipe) drainQueue() {
 	for {
 		select {
 		case op := <-p.reqCh:
-			if op.state.CompareAndSwap(pipeQueued, pipeDone) {
-				p.unregister(op.tag)
-				op.err = err
-				signalPipe(op.done)
-				p.releaseToken()
-			}
-			// else: abandoned while queued — already unregistered and
-			// token-released by the abandoner; the GC reclaims it.
+			p.failQueued(op, err)
 		default:
 			return
 		}
 	}
+}
+
+// failQueued completes an op the writer never sent with the pipe's
+// terminal error. An op abandoned while queued was already unregistered
+// and its token released by the abandoner; the GC reclaims it.
+func (p *pipe) failQueued(op *pipeOp, err error) {
+	if op.state.CompareAndSwap(pipeQueued, pipeDone) {
+		p.unregister(op.tag)
+		p.complete(op, err)
+	}
+}
+
+// complete hands an op in pipeDone its verdict. The window token goes
+// back before the caller is signalled, so a caller that sees its op
+// done also sees it gone from the InFlight gauge.
+func (p *pipe) complete(op *pipeOp, err error) {
+	op.err = err
+	p.releaseToken()
+	signalPipe(op.done)
 }
 
 // --- reader -----------------------------------------------------------
@@ -562,34 +545,46 @@ func (p *pipe) readLoop() {
 			p.fail(fmt.Errorf("%w: response for unknown tag %d", ErrProtocol, tag))
 			return
 		}
-		// Claim the op for decoding. A response can arrive while the op
-		// is still formally "sending" (the server answered an early frame
-		// of a coalesced batch mid-writev); that frame is fully on the
-		// wire, so decoding is safe. A failed claim means the caller
-		// abandoned: drain the payload without touching caller memory.
-		claimed := op.state.CompareAndSwap(pipeSent, pipeReceiving) ||
-			op.state.CompareAndSwap(pipeSending, pipeReceiving)
-		err = p.readResp(op, status, claimed)
-		if err != nil {
+		claimed := op.claim()
+		err = op.decode(p.br, status, claimed)
+		if err != nil && !IsRemote(err) && !IsCRC(err) {
 			// Transport/framing trouble mid-response: the stream is
 			// desynchronized. Fail the pipe, then deliver to this op (it
 			// is already out of the waiters table, so fail missed it).
 			p.fail(err)
 			if claimed {
-				op.err = err
 				op.state.Store(pipeDone)
-				signalPipe(op.done)
-				p.releaseToken()
+				p.complete(op, err)
 			}
 			return
 		}
 		if claimed {
 			op.state.Store(pipeDone)
-			signalPipe(op.done)
-			p.releaseToken()
+			p.complete(op, err)
 		}
 		// Abandoned ops: token already released by the abandoner; the op
 		// is intentionally not recycled (see the ownership note on top).
+	}
+}
+
+// claim moves an op whose response has arrived to pipeReceiving, so
+// the reader may decode into caller memory. A response can arrive while
+// the op is still formally "sending" (the server answered its frame
+// before the writer returned from the writev); that frame is fully on
+// the wire, so decoding is safe. The claim retries on the state it
+// loads: the writer may move the op from sending to sent at any moment,
+// and a claim that tried each state once could miss both and leave a
+// live op unanswered forever. false means the caller abandoned the op:
+// its payload is drained without touching caller memory.
+func (op *pipeOp) claim() bool {
+	for {
+		s := op.state.Load()
+		if s != pipeSending && s != pipeSent {
+			return false
+		}
+		if op.state.CompareAndSwap(s, pipeReceiving) {
+			return true
+		}
 	}
 }
 
@@ -624,343 +619,24 @@ func (p *pipe) anyExpired() bool {
 	return false
 }
 
-// readResp consumes one response's payload. claimed=false means the
-// caller abandoned the op: the payload is drained (bufio.Discard, no
-// allocation), caller memory is never touched. Per-op errors (remote,
-// CRC) land in op.err with a nil return; a non-nil return is
-// transport/framing trouble that must fail the pipe.
-func (p *pipe) readResp(op *pipeOp, status byte, claimed bool) error {
-	switch status {
-	case statusOK:
-	case statusCRC:
-		if _, err := io.ReadFull(p.br, p.rhdr[:12]); err != nil {
-			return err
-		}
-		f := int(binary.BigEndian.Uint32(p.rhdr[:]))
-		if (op.op == OpWriteV || op.op == OpWriteVC) && f >= op.nvecs {
-			return fmt.Errorf("%w: failed-range index %d beyond %d ranges", ErrProtocol, f, op.nvecs)
-		}
-		op.applied = f
-		op.err = &CRCError{
-			Range: f,
-			Want:  binary.BigEndian.Uint32(p.rhdr[4:]),
-			Got:   binary.BigEndian.Uint32(p.rhdr[8:]),
-			Write: true,
-		}
-		return nil
-	default:
-		// Error response; OpWriteV/OpWriteVC carry the extended form.
-		if op.op == OpWriteV || op.op == OpWriteVC {
-			f, err := p.respUint32()
-			if err != nil {
-				return err
-			}
-			if int(f) >= op.nvecs {
-				return fmt.Errorf("%w: failed-range index %d beyond %d ranges", ErrProtocol, f, op.nvecs)
-			}
-			op.applied = int(f)
-		}
-		n, err := p.respUint32()
-		if err != nil {
-			return err
-		}
-		if n > 1<<16 {
-			return fmt.Errorf("%w: oversized error message (%d bytes)", ErrProtocol, n)
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(p.br, msg); err != nil {
-			return err
-		}
-		op.err = &RemoteError{Msg: string(msg)}
-		return nil
-	}
-
-	switch op.op {
-	case OpRead, OpReadV, OpReadVC:
-		m, err := p.respUint32()
-		if err != nil {
-			return err
-		}
-		if int64(m) != op.total {
-			return fmt.Errorf("%w: server returned %d bytes for a %d-byte gather", ErrProtocol, m, op.total)
-		}
-		crcMode := op.op == OpReadVC
-		if crcMode {
-			if cap(op.crcs) < op.nvecs {
-				op.crcs = make([]uint32, op.nvecs)
-			}
-			op.crcs = op.crcs[:op.nvecs]
-			for i := range op.crcs {
-				c, err := p.respUint32()
-				if err != nil {
-					return err
-				}
-				op.crcs[i] = c
-			}
-		}
-		if !claimed {
-			_, err := p.br.Discard(int(op.total))
-			return err
-		}
-		var crcErr error
-		for i, d := range op.dst {
-			if _, err := io.ReadFull(p.br, d); err != nil {
-				return err
-			}
-			if crcMode && crcErr == nil {
-				if got := crc32c.Sum(d); got != op.crcs[i] {
-					crcErr = &CRCError{Range: i, Want: op.crcs[i], Got: got}
-				}
-			}
-		}
-		op.err = crcErr
-		return nil
-	case OpWrite, OpFail, OpRebuild, OpScrub:
-		return nil
-	case OpWriteV, OpWriteVC:
-		m, err := p.respUint32()
-		if err != nil {
-			return err
-		}
-		if int(m) != op.nvecs {
-			return fmt.Errorf("%w: server applied %d of %d scatter ranges without error", ErrProtocol, m, op.nvecs)
-		}
-		op.applied = op.nvecs
-		return nil
-	case OpCrcV:
-		for i := 0; i < op.nvecs; i++ {
-			c, err := p.respUint32()
-			if err != nil {
-				return err
-			}
-			if claimed {
-				op.outCrcs[i] = c
-			}
-		}
-		return nil
-	case OpSize:
-		if _, err := io.ReadFull(p.br, p.rhdr[:8]); err != nil {
-			return err
-		}
-		op.u64 = binary.BigEndian.Uint64(p.rhdr[:8])
-		return nil
-	case OpHealth:
-		var vals [5]int64
-		for i := range vals {
-			if _, err := io.ReadFull(p.br, p.rhdr[:8]); err != nil {
-				return err
-			}
-			vals[i] = int64(binary.BigEndian.Uint64(p.rhdr[:8]))
-		}
-		nFailed, err := p.respUint32()
-		if err != nil {
-			return err
-		}
-		if nFailed > 1<<16 {
-			return fmt.Errorf("%w: implausible failed-disk count %d", ErrProtocol, nFailed)
-		}
-		failed := make([]raid.DiskID, 0, nFailed)
-		for i := uint32(0); i < nFailed; i++ {
-			if _, err := io.ReadFull(p.br, p.rhdr[:5]); err != nil {
-				return err
-			}
-			failed = append(failed, raid.DiskID{
-				Role:  raid.Role(p.rhdr[0]),
-				Index: int(binary.BigEndian.Uint32(p.rhdr[1:5])),
-			})
-		}
-		op.health = dev.Health{
-			ElementsRead:    vals[0],
-			ElementsWritten: vals[1],
-			DegradedReads:   vals[2],
-			ParityFallbacks: vals[3],
-			StripesRebuilt:  vals[4],
-		}
-		op.failed = failed
-		return nil
-	default:
-		return fmt.Errorf("%w: response for unexpected opcode %d", ErrProtocol, op.op)
-	}
-}
-
-func (p *pipe) respUint32() (uint32, error) {
-	if _, err := io.ReadFull(p.br, p.rhdr[:4]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(p.rhdr[:4]), nil
-}
-
-// --- op builders ------------------------------------------------------
-
-// growHdr sizes op's header scratch, keeping the backing array.
-func (op *pipeOp) growHdr(n int) []byte {
-	if cap(op.hdr) < n {
-		op.hdr = make([]byte, n)
-	}
-	op.hdr = op.hdr[:n]
-	return op.hdr
-}
-
-// run submits op and waits, recycling the op when ownership stays with
-// the caller. The caller must have filled the request frame; the tag
-// bytes (hdr[1:5]) are stamped by submit.
-func (p *pipe) run(ctx context.Context, op *pipeOp) (applied int, u64 uint64, err error) {
+// run submits op and waits, returning its decoded result; the op is
+// recycled when ownership stays with the caller. The caller must have
+// encoded the request; the tag bytes (hdr[1:5]) are stamped by submit.
+func (p *pipe) run(ctx context.Context, op *pipeOp) (result, error) {
 	if err := p.acquireToken(ctx); err != nil {
 		putPipeOp(op)
-		return 0, 0, err
+		return result{}, err
 	}
 	if err := p.submit(ctx, op); err != nil {
 		p.releaseToken()
 		putPipeOp(op)
-		return 0, 0, err
+		return result{}, err
 	}
 	err, owns := p.wait(ctx, op)
 	if !owns {
-		return 0, 0, err
+		return result{}, err
 	}
-	applied, u64 = op.applied, op.u64
+	res := op.res
 	putPipeOp(op)
-	return applied, u64, err
-}
-
-// read runs OpRead (Client.ReadAtCtx's pipelined path).
-func (p *pipe) read(ctx context.Context, dst []byte, off int64) (int, error) {
-	op := getPipeOp()
-	op.op = OpRead
-	h := op.growHdr(17)
-	h[0] = OpRead
-	binary.BigEndian.PutUint64(h[5:13], uint64(off))
-	binary.BigEndian.PutUint32(h[13:17], uint32(len(dst)))
-	op.bufs = append(op.bufs[:0], h)
-	op.total = int64(len(dst))
-	op.nvecs = 1
-	if cap(op.dst) < 1 {
-		op.dst = make([][]byte, 0, 1)
-	}
-	op.dst = append(op.dst[:0], dst)
-	_, _, err := p.run(ctx, op)
-	if err != nil {
-		return 0, err
-	}
-	return len(dst), nil
-}
-
-// readV runs OpReadV/OpReadVC. dst slices are written only while the op
-// is claimed, never after a cancelled call returns.
-func (p *pipe) readV(ctx context.Context, vecs []Vec, dst [][]byte, total int64) error {
-	op := getPipeOp()
-	opc := OpReadV
-	if p.crcMode {
-		opc = OpReadVC
-	}
-	op.op = opc
-	h := op.growHdr(9 + vecHdrSize*len(vecs))
-	h[0] = opc
-	binary.BigEndian.PutUint32(h[5:9], uint32(len(vecs)))
-	for i, v := range vecs {
-		putVecHdr(h[9+vecHdrSize*i:], v)
-	}
-	op.bufs = append(op.bufs[:0], h)
-	op.total = total
-	op.nvecs = len(vecs)
-	if cap(op.dst) < len(dst) {
-		op.dst = make([][]byte, 0, len(dst))
-	}
-	op.dst = append(op.dst[:0], dst...)
-	_, _, err := p.run(ctx, op)
-	return err
-}
-
-// write runs OpWrite.
-func (p *pipe) write(ctx context.Context, data []byte, off int64) error {
-	op := getPipeOp()
-	op.op = OpWrite
-	h := op.growHdr(17)
-	h[0] = OpWrite
-	binary.BigEndian.PutUint64(h[5:13], uint64(off))
-	binary.BigEndian.PutUint32(h[13:17], uint32(len(data)))
-	op.bufs = append(op.bufs[:0], h, data)
-	_, _, err := p.run(ctx, op)
-	return err
-}
-
-// writeV runs OpWriteV/OpWriteVC, interleaving caller payload slices
-// with per-range headers in the writer's coalesced writev — payloads
-// are never copied client-side, same as the synchronous path.
-func (p *pipe) writeV(ctx context.Context, vecs []Vec, data [][]byte) (int, error) {
-	op := getPipeOp()
-	opc, hsz := OpWriteV, vecHdrSize
-	if p.crcMode {
-		opc, hsz = OpWriteVC, vecHdrCRCSize
-	}
-	op.op = opc
-	h := op.growHdr(9 + hsz*len(vecs))
-	h[0] = opc
-	binary.BigEndian.PutUint32(h[5:9], uint32(len(vecs)))
-	if cap(op.bufs) < 1+2*len(vecs) {
-		op.bufs = make([][]byte, 0, 1+2*len(vecs))
-	}
-	bufs := op.bufs[:0]
-	start, at := 0, 9
-	for i, v := range vecs {
-		putVecHdr(h[at:], v)
-		if p.crcMode {
-			binary.BigEndian.PutUint32(h[at+12:], crc32c.Sum(data[i]))
-		}
-		at += hsz
-		bufs = append(bufs, h[start:at], data[i])
-		start = at
-	}
-	op.bufs = bufs
-	op.nvecs = len(vecs)
-	applied, _, err := p.run(ctx, op)
-	return applied, err
-}
-
-// crcV runs OpCrcV, filling out with the server's fresh checksums.
-func (p *pipe) crcV(ctx context.Context, vecs []Vec, out []uint32) error {
-	op := getPipeOp()
-	op.op = OpCrcV
-	h := op.growHdr(9 + vecHdrSize*len(vecs))
-	h[0] = OpCrcV
-	binary.BigEndian.PutUint32(h[5:9], uint32(len(vecs)))
-	for i, v := range vecs {
-		putVecHdr(h[9+vecHdrSize*i:], v)
-	}
-	op.bufs = append(op.bufs[:0], h)
-	op.nvecs = len(vecs)
-	op.outCrcs = out
-	_, _, err := p.run(ctx, op)
-	return err
-}
-
-// mgmt runs a management exchange (OpSize, OpScrub, OpHealth, disk
-// ops); extra is the opcode's fixed request payload. On success the
-// caller reads the result fields off the returned op and must recycle
-// it with putPipeOp.
-func (p *pipe) mgmt(ctx context.Context, opc byte, extra []byte) (*pipeOp, error) {
-	op := getPipeOp()
-	op.op = opc
-	h := op.growHdr(5 + len(extra))
-	h[0] = opc
-	copy(h[5:], extra)
-	op.bufs = append(op.bufs[:0], h)
-	if err := p.acquireToken(ctx); err != nil {
-		putPipeOp(op)
-		return nil, err
-	}
-	if err := p.submit(ctx, op); err != nil {
-		p.releaseToken()
-		putPipeOp(op)
-		return nil, err
-	}
-	err, owns := p.wait(ctx, op)
-	if !owns {
-		return nil, err
-	}
-	if err != nil {
-		putPipeOp(op)
-		return nil, err
-	}
-	return op, nil
+	return res, err
 }

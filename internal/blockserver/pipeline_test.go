@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"shiftedmirror/internal/dev"
+	"shiftedmirror/internal/raid"
 )
 
 // dialPipe dials addr with FeaturePipeline (plus extra feature flags)
@@ -390,5 +391,86 @@ func TestPipelineStatsAccount(t *testing.T) {
 	if stats.Frames.Load() < 4 || stats.Writevs.Load() < 1 {
 		t.Fatalf("Frames=%d Writevs=%d, want >=4 frames over >=1 writevs",
 			stats.Frames.Load(), stats.Writevs.Load())
+	}
+}
+
+// TestPipeOpClaim pins the reader's claim on an answered op: an op that
+// is sending or sent is claimed whatever the writer does meanwhile, an
+// abandoned one never is. The concurrent leg races the writer's
+// sending→sent move against the claim, the interleaving in which a
+// claim that tried each state once missed both and left a live op
+// waiting forever for a reply that had already been drained.
+func TestPipeOpClaim(t *testing.T) {
+	op := &pipeOp{}
+	for _, tc := range []struct {
+		state int32
+		want  bool
+	}{
+		{pipeSending, true},
+		{pipeSent, true},
+		{pipeAbandoned, false},
+	} {
+		op.state.Store(tc.state)
+		if got := op.claim(); got != tc.want {
+			t.Fatalf("claim from state %d = %v, want %v", tc.state, got, tc.want)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		op.state.Store(pipeSending)
+		writer := make(chan struct{})
+		go func() {
+			op.state.CompareAndSwap(pipeSending, pipeSent)
+			close(writer)
+		}()
+		if !op.claim() {
+			t.Fatalf("iteration %d: claim lost a live op to the writer's sending→sent move", i)
+		}
+		<-writer
+	}
+}
+
+// TestPipeFailedBatchCompletes pins the shutdown of a batch the writer
+// had already taken out of the queue when the pipe failed: its ops must
+// complete with the terminal error. They are neither in the queue the
+// shutdown drain empties nor sent, so otherwise nothing answers them
+// and their callers wait forever.
+func TestPipeFailedBatchCompletes(t *testing.T) {
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	// The pipe's machinery without its goroutines: this test is the
+	// writer.
+	p := &pipe{
+		conn:    conn,
+		stats:   NewPipeStats(),
+		window:  make(chan struct{}, 1),
+		reqCh:   make(chan *pipeOp, 1),
+		quit:    make(chan struct{}),
+		waiters: map[uint32]*pipeOp{},
+	}
+	ctx := context.Background()
+	op := getPipeOp()
+	op.encMgmt(OpSize, raid.DiskID{})
+	if err := p.acquireToken(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.submit(ctx, op); err != nil {
+		t.Fatal(err)
+	}
+	batch := []*pipeOp{<-p.reqCh} // the writer takes the batch...
+	boom := errors.New("transport torn")
+	p.fail(boom) // ...and the pipe fails before it is written
+	if p.writeBatch(batch) {
+		t.Fatal("writeBatch wrote to a failed pipe")
+	}
+	select {
+	case <-op.done:
+		if op.err != boom {
+			t.Fatalf("op completed with %v, want the terminal error", op.err)
+		}
+	default:
+		t.Fatal("an op of the failed batch was never completed")
+	}
+	if n := p.stats.InFlight.Load(); n != 0 {
+		t.Fatalf("InFlight = %d after the failed batch, want 0", n)
 	}
 }

@@ -38,15 +38,28 @@
 // trip, so a cluster-level stripe read does not pay one network round
 // trip per element. OpWriteV is its scatter twin: up to MaxVecCount
 // ranges (total payload bounded by MaxIOSize) applied in request order
-// in one round trip. Ranges are applied as they are decoded; on a
-// store-level error at range i the server drains the rest of the frame
-// to stay synchronized and answers with an extended error response
-// carrying failed = i, so the client can credit the leading i ranges as
-// durably applied. Framing violations (bad count, oversized ranges,
-// truncated payload) tear the connection without a response, and the
-// range being decoded when the stream died is never partially applied
-// (except by a direct-store server, which trades that guarantee for the
-// zero-copy receive path; see DESIGN.md §12).
+// in one round trip.
+//
+// Both framings validate requests by one rule, in one decoder per
+// opcode. A violation that leaves the frame's length unknowable tears
+// the connection without a response: an unknown opcode (OpFeatures
+// included, once the stream is pipelined), a vector count outside
+// [1, MaxVecCount], a write range longer than MaxIOSize or a write frame
+// whose ranges total more, and a truncated frame. Everything else is
+// answered with a remote error on a synchronized stream, because the
+// frame's length is known and the server consumes it first: a read
+// range longer than MaxIOSize, read ranges totalling more, and any range
+// outside [0, store size) — offsets >= 2^63, which decode negative,
+// included. A write is judged range by range as it is applied: at the
+// first range outside the store, store error, or CRC mismatch, the
+// server drains the rest of the frame and answers with the extended
+// error, or the CRC reply, carrying failed = i, so the client can credit
+// the leading i ranges as durably applied (OpWrite, a single range,
+// gets the plain error); a range rejected before it
+// reached the store leaves the CRC sidecar alone. The range being
+// decoded when the stream died is never partially applied (except by a
+// direct-store server, which trades that guarantee for the zero-copy
+// receive path; see DESIGN.md §12).
 //
 // OpFeatures negotiates optional capabilities: the client sends the
 // flags it wants, the server answers with the subset it grants plus its
@@ -70,6 +83,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 )
 
@@ -210,9 +224,22 @@ func getFrame(n int) *[]byte {
 
 func putFrame(p *[]byte) { framePool.Put(p) }
 
-// okFrame is the payload-free success response; shared because writes
-// never mutate it.
-var okFrame = [...]byte{statusOK}
+// sendBufs writes a frame held as an iovec list: one write for a single
+// buffer, one writev otherwise. nb is the caller's persistent
+// net.Buffers header (WriteTo consumes its receiver; a field keeps the
+// slice header from escaping per call). The single-buffer write also
+// keeps what the race detector sees: a write(2) publishes a
+// happens-before edge to the peer's read(2), a writev(2) does not, and
+// tests that touch a store directly between wire ops rely on the edge.
+func sendBufs(conn net.Conn, nb *net.Buffers, bufs [][]byte) error {
+	if len(bufs) == 1 {
+		_, err := conn.Write(bufs[0])
+		return err
+	}
+	*nb = net.Buffers(bufs)
+	_, err := nb.WriteTo(conn)
+	return err
+}
 
 // Vec header sizes on the wire: off(8) len(4), plus crc(4) in the
 // CRC-carrying write opcode.
@@ -237,15 +264,19 @@ func getVecHdr(b []byte) Vec {
 	}
 }
 
-// checkVec validates one decoded range against the store size, shared
-// by every vector opcode handler.
+// checkVec validates one decoded range against the store: a length
+// the protocol allows and a span inside [0, size). The server's read and
+// write decoders run it on every range before the store or its CRC
+// sidecar is touched.
 func checkVec(v Vec, size int64) error {
-	if v.Len <= 0 || v.Len > MaxIOSize {
-		return fmt.Errorf("%w: bad range length %d", ErrProtocol, v.Len)
+	if v.Len < 0 || v.Len > MaxIOSize {
+		return fmt.Errorf("%w: range of %d bytes exceeds limit", ErrProtocol, uint32(v.Len))
 	}
-	if v.Off < 0 || v.Off+int64(v.Len) > size {
-		return fmt.Errorf("%w: range [%d,%d) outside store of %d bytes",
-			ErrProtocol, v.Off, v.Off+int64(v.Len), size)
+	// Off > size-Len, not Off+Len > size: an offset near 2^63 must not
+	// overflow past the check.
+	if v.Off < 0 || v.Off > size-int64(v.Len) {
+		return fmt.Errorf("%w: %d-byte range at offset %d outside store of %d bytes",
+			ErrProtocol, v.Len, v.Off, size)
 	}
 	return nil
 }
@@ -269,87 +300,39 @@ func checkVecs(vecs []Vec) (int64, error) {
 	return total, nil
 }
 
-// writeErr sends an error response.
-func writeErr(w io.Writer, err error) error {
-	msg := []byte(err.Error())
-	buf := make([]byte, 0, 5+len(msg))
-	buf = append(buf, statusErr)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg)))
-	buf = append(buf, msg...)
-	_, werr := w.Write(buf)
-	return werr
-}
-
-// writeWriteVErr sends OpWriteV's extended error response: the index of
-// the first range the store rejected, then the usual error payload. The
-// leading `failed` ranges were applied; the rest were drained without
-// being applied, so the stream stays synchronized.
-func writeWriteVErr(w io.Writer, failed int, err error) error {
-	msg := []byte(err.Error())
-	buf := make([]byte, 0, 9+len(msg))
-	buf = append(buf, statusErr)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(failed))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(msg)))
-	buf = append(buf, msg...)
-	_, werr := w.Write(buf)
-	return werr
-}
-
-// writeCRCErr sends OpWriteVC's CRC-mismatch response: the index of the
-// rejected range plus both checksums. Like the extended write error, the
-// leading `failed` ranges were applied and the rest drained, so the
-// stream stays synchronized.
-func writeCRCErr(w io.Writer, failed int, want, got uint32) error {
-	var buf [13]byte
-	buf[0] = statusCRC
-	binary.BigEndian.PutUint32(buf[1:], uint32(failed))
-	binary.BigEndian.PutUint32(buf[5:], want)
-	binary.BigEndian.PutUint32(buf[9:], got)
-	_, werr := w.Write(buf[:])
-	return werr
-}
-
-// writeOK sends a success response with an optional payload.
-func writeOK(w io.Writer, payload []byte) error {
-	if len(payload) == 0 {
-		_, err := w.Write(okFrame[:])
-		return err
-	}
-	buf := getFrame(1 + len(payload))
-	defer putFrame(buf)
-	(*buf)[0] = statusOK
-	copy((*buf)[1:], payload)
-	_, err := w.Write(*buf)
-	return err
-}
-
-// readStatus consumes a response header, returning the remote error if
-// the status byte signals one.
+// readStatus consumes a response's status byte and, when it is not
+// OK, the error body it announces (see readErrBody).
 func readStatus(r io.Reader) error {
-	var status [1]byte
-	if _, err := io.ReadFull(r, status[:]); err != nil {
+	var b [12]byte
+	if _, err := io.ReadFull(r, b[:1]); err != nil {
 		return err
 	}
-	if status[0] == statusOK {
+	if b[0] == statusOK {
 		return nil
 	}
-	if status[0] == statusCRC {
-		var b [12]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
+	return readErrBody(r, b[0], b[:])
+}
+
+// readErrBody decodes the body of a non-OK response into its error:
+// statusCRC's failed(4) | want(4) | got(4) as a *CRCError, any other
+// status's len(4) | message as a *RemoteError. b is scratch of at least
+// 12 bytes. Any other returned error is transport or framing trouble.
+func readErrBody(r io.Reader, status byte, b []byte) error {
+	if status == statusCRC {
+		if _, err := io.ReadFull(r, b[:12]); err != nil {
 			return err
 		}
 		return &CRCError{
-			Range: int(binary.BigEndian.Uint32(b[:])),
+			Range: int(binary.BigEndian.Uint32(b)),
 			Want:  binary.BigEndian.Uint32(b[4:]),
 			Got:   binary.BigEndian.Uint32(b[8:]),
 			Write: true,
 		}
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(r, b[:4]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(b)
 	if n > 1<<16 {
 		return fmt.Errorf("%w: oversized error message (%d bytes)", ErrProtocol, n)
 	}
@@ -358,20 +341,4 @@ func readStatus(r io.Reader) error {
 		return err
 	}
 	return &RemoteError{Msg: string(msg)}
-}
-
-func readUint32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
-}
-
-func readUint64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
 }

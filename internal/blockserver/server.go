@@ -251,177 +251,243 @@ func (s *Server) Close() error {
 	return err
 }
 
-// connScratch is per-connection reusable state for the vector opcodes:
-// decoded range headers, CRC arrays, and the writev gather list. One
-// connection serves one request at a time, so no locking is needed, and
-// steady-state requests allocate nothing.
-type connScratch struct {
-	vecs []Vec
-	crcs []uint32
-	bufs [][]byte
-	// nb is the persistent writev header: net.Buffers.WriteTo consumes
-	// its receiver, so it is rebuilt from bufs before every use — but
-	// keeping it a field stops the slice header escaping per call.
-	nb  net.Buffers
-	hdr [16]byte
+// srvConn is one served connection, in either framing. The decode
+// scratch (hdr, req) belongs to the goroutine reading requests — the
+// sync serve loop or the pipelined demux — so steady-state requests
+// allocate nothing.
+type srvConn struct {
+	s    *Server
+	conn net.Conn
+	// r is what requests are decoded from: the connection itself in the
+	// sync framing, the demux's buffered reader in the pipelined one.
+	r io.Reader
+	// pipe is the pipelined framing's machinery; nil while the
+	// connection speaks the sync framing.
+	pipe *pipeSrv
 	// pipelined is set by handleFeatures when FeaturePipeline is
-	// granted: serveConn switches to the pipelined serve loop after the
-	// negotiation reply is written.
+	// granted: serveConn switches framings once the reply is written.
 	pipelined bool
+
+	hdr  [16]byte
+	req  request // the request being decoded
+	resp srvResp // the sync framing's reply scratch
+	// nb is the persistent writev header: net.Buffers.WriteTo consumes
+	// its receiver, so keeping it a field stops the slice header
+	// escaping per reply.
+	nb net.Buffers
 }
 
-// readUint64 reads a big-endian uint64 through the scratch header, so
-// the buffer does not escape per call the way the package-level
-// reader's stack array does.
-func (scr *connScratch) readUint64(r io.Reader) (uint64, error) {
-	if _, err := io.ReadFull(r, scr.hdr[:8]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(scr.hdr[:8]), nil
+// request is one decoded request and its accounting. Read-class
+// requests carry their ranges in vecs; the pipelined framing hands a
+// pooled copy of the request to a worker.
+type request struct {
+	op    byte
+	tag   uint32 // pipelined framing only
+	vecs  []Vec
+	total int64
+	start time.Time // valid when metrics or tracing are on
+	acct  opAcct
+	// answered is set once the reply is handed to the framing, which
+	// accounts the request at that moment.
+	answered bool
 }
 
-// readUint32 is readUint64's 4-byte sibling.
-func (scr *connScratch) readUint32(r io.Reader) (uint32, error) {
-	if _, err := io.ReadFull(r, scr.hdr[:4]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(scr.hdr[:4]), nil
-}
-
-// serveConn processes requests until the peer disconnects or sends a
-// malformed frame.
+// serveConn serves one connection in the sync framing until the peer
+// disconnects or sends a malformed frame, switching to the pipelined
+// framing if OpFeatures grants it.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	scr := &connScratch{}
+	c := &srvConn{s: s, conn: conn, r: conn}
 	for {
 		// The opcode is read through the scratch header: a local array
 		// would escape into the conn interface and cost one allocation
 		// per request.
-		if _, err := io.ReadFull(conn, scr.hdr[:1]); err != nil {
+		if _, err := io.ReadFull(conn, c.hdr[:1]); err != nil {
 			return
 		}
-		if err := s.dispatch(conn, scr.hdr[0], scr); err != nil {
+		if err := s.dispatch(c, c.hdr[0], 0); err != nil {
 			return
 		}
-		if scr.pipelined {
-			s.servePipelined(conn, scr)
+		if c.pipelined {
+			s.servePipelined(c)
 			return
 		}
 	}
 }
 
-// dispatch handles one request; a returned error tears the connection
-// down (I/O or protocol trouble), while device-level errors travel back
-// to the client as error responses. With metrics or tracing enabled it
-// times the request and accounts payload bytes; otherwise it is a
-// direct call into the handler with zero overhead.
-func (s *Server) dispatch(conn net.Conn, op byte, scr *connScratch) error {
-	if s.metrics == nil && s.tracer == nil {
-		return s.handle(conn, op, scr, nil)
+// dispatch decodes and executes one request in either framing. A
+// returned error tears the connection down (I/O or framing trouble);
+// store-level errors travel back as remote errors. A read-class request
+// on a pipelined connection is handed to a worker once decoded. Every
+// request is accounted when its reply is handed to the framing (see
+// send), or here when it tore the connection first.
+func (s *Server) dispatch(c *srvConn, op byte, tag uint32) error {
+	q := &c.req
+	q.op, q.tag, q.acct, q.answered = op, tag, opAcct{}, false
+	if s.metrics != nil || s.tracer != nil {
+		q.start = time.Now()
 	}
-	var acct opAcct
-	start := time.Now()
-	err := s.handle(conn, op, scr, &acct)
-	d := time.Since(start)
-	if s.metrics != nil {
-		s.metrics.record(op, &acct, d, err)
-	}
-	if s.tracer != nil {
-		ev := obs.Event{Op: opNames[opSlot(op)], Bytes: acct.in + acct.out, Dur: d, Err: err}
-		if ev.Err == nil {
-			ev.Err = acct.remoteErr
+	var err error
+	switch op {
+	case OpRead, OpReadV, OpReadVC, OpCrcV:
+		var ok bool
+		if ok, err = s.decodeRead(c, q); ok {
+			if c.pipe != nil {
+				c.pipe.queue(q)
+				return nil
+			}
+			err = s.serveRead(c, q)
 		}
-		s.tracer.Trace(ev)
+	case OpWrite, OpWriteV, OpWriteVC:
+		err = s.handleWrite(c, q)
+	case OpSize, OpFail, OpRebuild, OpScrub, OpHealth:
+		err = s.handleMgmt(c, q)
+	case OpFeatures:
+		if c.pipe == nil {
+			err = s.handleFeatures(c, q)
+			break
+		}
+		err = fmt.Errorf("%w: OpFeatures in a pipelined stream", ErrProtocol)
+	default:
+		err = fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
+	}
+	switch {
+	case !q.answered:
+		s.account(q, err)
+	case err != nil && s.metrics != nil:
+		s.metrics.connsTorn.Inc() // the reply itself could not be written
 	}
 	return err
 }
 
-// reply sends err back to the client as a remote-error response,
-// recording it in acct so metrics can tell served errors from clean
-// requests.
-func (s *Server) reply(conn net.Conn, acct *opAcct, err error) error {
-	if acct != nil {
-		acct.remoteErr = err
+// account folds one finished request into the metrics and the tracer.
+// err is the connection-fatal error: nil for clean requests and for
+// requests answered with a remote error.
+func (s *Server) account(q *request, err error) {
+	if s.metrics == nil && s.tracer == nil {
+		return
 	}
-	return writeErr(conn, err)
-}
-
-// handle executes one decoded request against the store. The data
-// opcodes live in wire.go; the management opcodes are handled here.
-func (s *Server) handle(conn net.Conn, op byte, scr *connScratch, acct *opAcct) error {
-	switch op {
-	case OpRead:
-		return s.handleRead(conn, scr, acct)
-	case OpReadV, OpReadVC:
-		return s.handleReadV(conn, scr, acct, op == OpReadVC)
-	case OpWrite:
-		return s.handleWrite(conn, scr, acct)
-	case OpWriteV, OpWriteVC:
-		return s.handleWriteV(conn, scr, acct, op == OpWriteVC)
-	case OpCrcV:
-		return s.handleCrcV(conn, scr, acct)
-	case OpFeatures:
-		return s.handleFeatures(conn, scr)
-	case OpSize:
-		return writeOK(conn, binary.BigEndian.AppendUint64(nil, uint64(s.store.Size())))
-	case OpFail, OpRebuild:
-		id, err := readDiskID(conn)
-		if err != nil {
-			return err
+	d := time.Since(q.start)
+	if s.metrics != nil {
+		s.metrics.record(q.op, &q.acct, d, err)
+	}
+	if s.tracer != nil {
+		ev := obs.Event{Op: opNames[opSlot(q.op)], Bytes: q.acct.in + q.acct.out, Dur: d, Err: err}
+		if ev.Err == nil {
+			ev.Err = q.acct.remoteErr
 		}
-		if s.mgmt == nil {
-			return s.reply(conn, acct, errUnmanaged)
-		}
-		var derr error
-		if op == OpFail {
-			derr = s.mgmt.FailDisk(id)
-		} else {
-			derr = s.mgmt.Rebuild(id)
-		}
-		if derr != nil {
-			return s.reply(conn, acct, derr)
-		}
-		return writeOK(conn, nil)
-	case OpScrub:
-		if s.mgmt == nil {
-			return s.reply(conn, acct, errUnmanaged)
-		}
-		if err := s.mgmt.Scrub(); err != nil {
-			return s.reply(conn, acct, err)
-		}
-		return writeOK(conn, nil)
-	case OpHealth:
-		if s.mgmt == nil {
-			return s.reply(conn, acct, errUnmanaged)
-		}
-		h := s.mgmt.Health()
-		failed := s.mgmt.FailedDisks()
-		payload := make([]byte, 0, 5*8+4+len(failed)*5)
-		for _, v := range []int64{h.ElementsRead, h.ElementsWritten, h.DegradedReads, h.ParityFallbacks, h.StripesRebuilt} {
-			payload = binary.BigEndian.AppendUint64(payload, uint64(v))
-		}
-		payload = binary.BigEndian.AppendUint32(payload, uint32(len(failed)))
-		for _, f := range failed {
-			payload = append(payload, byte(f.Role))
-			payload = binary.BigEndian.AppendUint32(payload, uint32(f.Index))
-		}
-		return writeOK(conn, payload)
-	default:
-		return fmt.Errorf("%w: unknown opcode %d", ErrProtocol, op)
+		s.tracer.Trace(ev)
 	}
 }
 
-// errUnmanaged answers management opcodes on a bare-store server.
-var errUnmanaged = errors.New("store server has no device management")
+// --- replies ------------------------------------------------------------
 
-func readDiskID(r io.Reader) (raid.DiskID, error) {
-	var role [1]byte
-	if _, err := io.ReadFull(r, role[:]); err != nil {
-		return raid.DiskID{}, err
+// srvResp is one reply as an iovec list. bufs[0] is the header frame:
+// a 4-byte tag slot (stamped by the pipelined framing, skipped by the
+// sync one), the status byte, and the fixed fields. Payload slices —
+// store memory on the zero-copy path — follow. frames are the pooled
+// buffers to recycle once the reply is written.
+type srvResp struct {
+	frames []*[]byte
+	bufs   [][]byte
+}
+
+var srvRespPool = sync.Pool{New: func() any { return new(srvResp) }}
+
+// header starts r with a pooled frame of tag slot | st | n field bytes
+// and returns the field area for the caller to fill.
+func (r *srvResp) header(st byte, n int) []byte {
+	f := getFrame(5 + n)
+	(*f)[4] = st
+	r.frames = append(r.frames, f)
+	r.bufs = append(r.bufs, *f)
+	return (*f)[5:]
+}
+
+// release recycles r's frames and drops every reference to them and to
+// payload memory, so an idle connection's scratch pins nothing.
+func (r *srvResp) release() {
+	for _, f := range r.frames {
+		putFrame(f)
 	}
-	idx, err := readUint32(r)
-	if err != nil {
-		return raid.DiskID{}, err
+	clear(r.frames)
+	r.frames = r.frames[:0]
+	clear(r.bufs)
+	r.bufs = r.bufs[:0]
+}
+
+// newResp returns an empty reply: the connection's scratch in the sync
+// framing, which serves one request at a time, or a pooled one in the
+// pipelined framing, where workers build replies concurrently.
+func (c *srvConn) newResp() *srvResp {
+	if c.pipe != nil {
+		return srvRespPool.Get().(*srvResp)
 	}
-	return raid.DiskID{Role: raid.Role(role[0]), Index: int(idx)}, nil
+	return &c.resp
+}
+
+// drop discards a reply that will not be sent.
+func (c *srvConn) drop(r *srvResp) {
+	r.release()
+	if c.pipe != nil {
+		srvRespPool.Put(r)
+	}
+}
+
+// send delivers r in the connection's framing: the sync framing writes
+// status|payload at once (one writev, or one write when the reply is a
+// single frame), the pipelined one stamps the tag and queues r for the
+// coalescing writer. The request is accounted first, before the reply
+// can reach the client, so whoever has seen a reply finds its request
+// in the metrics. A returned error tears the connection.
+func (c *srvConn) send(q *request, r *srvResp) error {
+	c.s.account(q, nil)
+	q.answered = true
+	if c.pipe != nil {
+		binary.BigEndian.PutUint32(r.bufs[0], q.tag)
+		c.pipe.respCh <- r
+		return nil
+	}
+	r.bufs[0] = r.bufs[0][4:]
+	err := sendBufs(c.conn, &c.nb, r.bufs)
+	r.release()
+	return err
+}
+
+// ok answers q with status OK and a fixed payload.
+func (c *srvConn) ok(q *request, payload []byte) error {
+	r := c.newResp()
+	copy(r.header(statusOK, len(payload)), payload)
+	return c.send(q, r)
+}
+
+// plainErr selects fail's plain error form.
+const plainErr = -1
+
+// fail answers q with err on a synchronized stream. A *CRCError travels
+// as the statusCRC reply; failed >= 0 selects the vector writes'
+// extended error, which credits the leading failed ranges as applied.
+func (c *srvConn) fail(q *request, failed int, err error) error {
+	q.acct.remoteErr = err
+	r := c.newResp()
+	if ce, ok := err.(*CRCError); ok {
+		b := r.header(statusCRC, 12)
+		binary.BigEndian.PutUint32(b, uint32(ce.Range))
+		binary.BigEndian.PutUint32(b[4:], ce.Want)
+		binary.BigEndian.PutUint32(b[8:], ce.Got)
+		return c.send(q, r)
+	}
+	msg := err.Error()
+	n := 4 + len(msg)
+	if failed != plainErr {
+		n += 4
+	}
+	b := r.header(statusErr, n)
+	if failed != plainErr {
+		binary.BigEndian.PutUint32(b, uint32(failed))
+		b = b[4:]
+	}
+	binary.BigEndian.PutUint32(b, uint32(len(msg)))
+	copy(b[4:], msg)
+	return c.send(q, r)
 }

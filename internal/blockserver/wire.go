@@ -2,17 +2,19 @@ package blockserver
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 
 	"shiftedmirror/internal/crc32c"
+	"shiftedmirror/internal/raid"
 )
 
-// This file is the server's data path: the read/write opcodes, their
-// vector (gather/scatter) forms, the zero-copy variants used when the
-// store exposes its memory, and the CRC sidecar behind the integrity
-// feature.
+// This file holds the server's one handler per opcode, shared by both
+// framings: each decodes its request from the connection's reader and
+// answers through the connection's reply sink (see srvConn.send), never
+// knowing which framing it runs under. It also keeps the CRC sidecar
+// behind the integrity feature.
 //
 // Copy discipline: with a DirectStore, a gather read is one writev of
 // {header, store memory...} and a scatter write reads the socket
@@ -24,244 +26,175 @@ import (
 
 // handleFeatures answers the negotiation opcode: the granted subset of
 // the client's requested flags, plus the server's CRC block size. A
-// granted FeaturePipeline is recorded in scr so serveConn can hand the
-// connection to the pipelined serve loop once the reply is on the wire.
-func (s *Server) handleFeatures(conn net.Conn, scr *connScratch) error {
-	var req [1]byte
-	if _, err := io.ReadFull(conn, req[:]); err != nil {
+// granted FeaturePipeline is recorded in c so serveConn can switch the
+// connection to the pipelined framing once the reply is on the wire.
+func (s *Server) handleFeatures(c *srvConn, q *request) error {
+	if _, err := io.ReadFull(c.r, c.hdr[:1]); err != nil {
 		return err
 	}
 	var grant byte
 	if s.crcBlock > 0 {
-		grant = req[0] & FeatureCRC
+		grant = c.hdr[0] & FeatureCRC
 	}
 	// Pipelining needs no server-side resources beyond the per-connection
 	// goroutines, so it is granted whenever asked for.
-	grant |= req[0] & FeaturePipeline
-	scr.pipelined = grant&FeaturePipeline != 0
-	var payload [5]byte
-	payload[0] = grant
-	binary.BigEndian.PutUint32(payload[1:], uint32(s.crcBlock))
-	return writeOK(conn, payload[:])
+	grant |= c.hdr[0] & FeaturePipeline
+	c.pipelined = grant&FeaturePipeline != 0
+	c.hdr[0] = grant
+	binary.BigEndian.PutUint32(c.hdr[1:5], uint32(s.crcBlock))
+	return c.ok(q, c.hdr[:5])
 }
 
-// handleRead serves OpRead: status|len|data in one reply. A direct
-// store serves the payload straight from store memory via writev.
-func (s *Server) handleRead(conn net.Conn, scr *connScratch, acct *opAcct) error {
-	off, err := scr.readUint64(conn)
-	if err != nil {
-		return err
-	}
-	n, err := scr.readUint32(conn)
-	if err != nil {
-		return err
-	}
-	if n > MaxIOSize {
-		return s.reply(conn, acct, fmt.Errorf("%w: read of %d bytes exceeds limit", ErrProtocol, n))
-	}
-	if s.direct != nil {
-		if p, ok := s.direct.Slice(int64(off), int64(n)); ok {
-			scr.hdr[0] = statusOK
-			binary.BigEndian.PutUint32(scr.hdr[1:5], n)
-			if acct != nil {
-				acct.out += int64(n)
-				acct.zeroCopy = true
-			}
-			scr.bufs = append(scr.bufs[:0], scr.hdr[:5], p)
-			scr.nb = net.Buffers(scr.bufs)
-			_, werr := scr.nb.WriteTo(conn)
-			return werr
+// decodeRead consumes a read-class request (OpRead, OpReadV, OpReadVC,
+// OpCrcV) into q.vecs and q.total. OpRead carries one off|len header,
+// the vector opcodes a count and that many. A bad count tears the
+// connection; past it the frame's length is known, so every header is
+// consumed before any range is judged, and a range that is too long or
+// outside the store — or OpReadVC on a server without WithCRC — is
+// answered with a remote error (ok = false, err = the reply's error).
+func (s *Server) decodeRead(c *srvConn, q *request) (ok bool, err error) {
+	count := 1
+	if q.op != OpRead {
+		if _, err := io.ReadFull(c.r, c.hdr[:4]); err != nil {
+			return false, err
 		}
+		n := binary.BigEndian.Uint32(c.hdr[:4])
+		if n == 0 || n > MaxVecCount {
+			return false, fmt.Errorf("%w: gather of %d ranges outside [1,%d]", ErrProtocol, n, MaxVecCount)
+		}
+		count = int(n)
 	}
-	// Assemble status|len|data in one pooled frame and reply with a
-	// single write: no per-request allocation, one payload copy.
-	frame := getFrame(5 + int(n))
-	defer putFrame(frame)
-	if _, err := s.store.ReadAt((*frame)[5:], int64(off)); err != nil {
-		return s.reply(conn, acct, err)
+	hdrs := getFrame(vecHdrSize * count)
+	defer putFrame(hdrs)
+	if _, err := io.ReadFull(c.r, *hdrs); err != nil {
+		return false, err
+	}
+	size := s.store.Size()
+	q.vecs = q.vecs[:0]
+	q.total = 0
+	for i := 0; i < count; i++ {
+		v := getVecHdr((*hdrs)[vecHdrSize*i:])
+		if err := checkVec(v, size); err != nil {
+			return false, c.fail(q, plainErr, err)
+		}
+		q.vecs = append(q.vecs, v)
+		q.total += int64(v.Len)
+	}
+	if q.total > MaxIOSize {
+		return false, c.fail(q, plainErr, fmt.Errorf("%w: gather of %d bytes exceeds limit", ErrProtocol, q.total))
+	}
+	if q.op == OpReadVC && s.crcBlock == 0 {
+		return false, c.fail(q, plainErr, fmt.Errorf("crc read on a server without WithCRC"))
+	}
+	return true, nil
+}
+
+// serveRead answers a decoded read-class request. OpRead, OpReadV and
+// OpReadVC share one reply, status | total | [count*crc] | data: a
+// direct store's memory is gathered straight into the writev, any other
+// store is read into the reply frame.
+func (s *Server) serveRead(c *srvConn, q *request) error {
+	if q.op == OpCrcV {
+		return s.serveCrcV(c, q)
+	}
+	crcLen := 0
+	if q.op == OpReadVC {
+		crcLen = 4 * len(q.vecs)
+	}
+	r := c.newResp()
+	if s.direct != nil {
+		hdr := r.header(statusOK, 4+crcLen)
+		direct := true
+		for _, v := range q.vecs {
+			p, ok := s.direct.Slice(v.Off, int64(v.Len))
+			if !ok {
+				direct = false
+				break
+			}
+			r.bufs = append(r.bufs, p)
+		}
+		if direct {
+			binary.BigEndian.PutUint32(hdr, uint32(q.total))
+			if crcLen > 0 {
+				for i, v := range q.vecs {
+					binary.BigEndian.PutUint32(hdr[4+4*i:], s.rangeCRC(v, r.bufs[1+i]))
+				}
+			}
+			q.acct.out += q.total
+			q.acct.zeroCopy = true
+			return c.send(q, r)
+		}
+		r.release()
+	}
+	b := r.header(statusOK, 4+crcLen+int(q.total))
+	binary.BigEndian.PutUint32(b, uint32(q.total))
+	data := b[4+crcLen:]
+	for i, v := range q.vecs {
+		d := data[:v.Len]
+		data = data[v.Len:]
+		if _, err := s.store.ReadAt(d, v.Off); err != nil {
+			c.drop(r)
+			return c.fail(q, plainErr, err)
+		}
+		if crcLen > 0 {
+			binary.BigEndian.PutUint32(b[4+4*i:], s.rangeCRC(v, d))
+		}
 	}
 	if s.readRate != nil {
-		s.readRate.wait(int(n))
+		s.readRate.wait(int(q.total))
 	}
-	if acct != nil {
-		acct.out += int64(n)
-	}
-	(*frame)[0] = statusOK
-	binary.BigEndian.PutUint32((*frame)[1:5], n)
-	_, werr := conn.Write(*frame)
-	return werr
+	q.acct.out += q.total
+	return c.send(q, r)
 }
 
-// readVecList decodes a vector request's count and range headers into
-// scr.vecs, returning the ranges and their payload total. A nil range
-// slice with a nil error means a remote error was already sent and the
-// stream is synchronized.
-func (s *Server) readVecList(conn net.Conn, scr *connScratch, acct *opAcct, kind string) ([]Vec, int64, error) {
-	count, err := scr.readUint32(conn)
-	if err != nil {
-		return nil, 0, err
-	}
-	if count == 0 || count > MaxVecCount {
-		return nil, 0, fmt.Errorf("%w: %s of %d ranges outside [1,%d]", ErrProtocol, kind, count, MaxVecCount)
-	}
-	hdrBuf := getFrame(vecHdrSize * int(count))
-	defer putFrame(hdrBuf)
-	if _, err := io.ReadFull(conn, *hdrBuf); err != nil {
-		return nil, 0, err
-	}
-	if cap(scr.vecs) < int(count) {
-		scr.vecs = make([]Vec, count)
-	}
-	vecs := scr.vecs[:count]
-	// Sum as int64: on 32-bit platforms int(uint32) can go negative,
-	// which would slip past the limit check and crash getFrame.
-	var total int64
-	for i := range vecs {
-		v := getVecHdr((*hdrBuf)[vecHdrSize*i:])
-		if v.Len < 0 || v.Len > MaxIOSize {
-			return nil, 0, s.reply(conn, acct, fmt.Errorf("%w: %s range of %d bytes exceeds limit", ErrProtocol, kind, uint32(v.Len)))
-		}
-		vecs[i] = v
-		total += int64(v.Len)
-	}
-	if total > MaxIOSize {
-		return nil, 0, s.reply(conn, acct, fmt.Errorf("%w: %s of %d bytes exceeds limit", ErrProtocol, kind, total))
-	}
-	return vecs, total, nil
-}
-
-// handleReadV serves OpReadV and its CRC-carrying twin OpReadVC.
-func (s *Server) handleReadV(conn net.Conn, scr *connScratch, acct *opAcct, withCRC bool) error {
-	vecs, total, err := s.readVecList(conn, scr, acct, "gather")
-	if vecs == nil {
-		return err
-	}
-	if withCRC && s.crcBlock == 0 {
-		return s.reply(conn, acct, fmt.Errorf("crc read on a server without WithCRC"))
-	}
-	hdrLen := 5
-	if withCRC {
-		hdrLen += 4 * len(vecs)
-	}
-	if s.direct != nil {
-		if done, err := s.readVDirect(conn, scr, acct, vecs, total, withCRC, hdrLen); done {
-			return err
-		}
-	}
-	// Pooled path — one frame: status | total | [crcs] | range data...
-	frame := getFrame(hdrLen + int(total))
-	defer putFrame(frame)
-	at := hdrLen
-	for i, v := range vecs {
-		data := (*frame)[at : at+v.Len]
-		if _, err := s.store.ReadAt(data, v.Off); err != nil {
-			return s.reply(conn, acct, err)
-		}
-		if withCRC {
-			binary.BigEndian.PutUint32((*frame)[5+4*i:], s.rangeCRC(v, data))
-		}
-		at += v.Len
-	}
-	if s.readRate != nil {
-		s.readRate.wait(int(total))
-	}
-	if acct != nil {
-		acct.out += total
-	}
-	(*frame)[0] = statusOK
-	binary.BigEndian.PutUint32((*frame)[1:5], uint32(total))
-	_, werr := conn.Write(*frame)
-	return werr
-}
-
-// readVDirect is the zero-copy gather: the reply is a single writev of
-// the header frame followed by the store's own memory for every range.
-// Returns done=false (nothing written) when any range cannot be
-// addressed directly, in which case the caller falls back to the pooled
-// path.
-func (s *Server) readVDirect(conn net.Conn, scr *connScratch, acct *opAcct, vecs []Vec, total int64, withCRC bool, hdrLen int) (bool, error) {
-	hdr := getFrame(hdrLen)
-	defer putFrame(hdr)
-	bufs := append(scr.bufs[:0], *hdr)
-	for _, v := range vecs {
-		p, ok := s.direct.Slice(v.Off, int64(v.Len))
-		if !ok {
-			scr.bufs = bufs
-			return false, nil
-		}
-		bufs = append(bufs, p)
-	}
-	scr.bufs = bufs
-	(*hdr)[0] = statusOK
-	binary.BigEndian.PutUint32((*hdr)[1:5], uint32(total))
-	if withCRC {
-		for i, v := range vecs {
-			binary.BigEndian.PutUint32((*hdr)[5+4*i:], s.rangeCRC(v, bufs[i+1]))
-		}
-	}
-	if acct != nil {
-		acct.out += total
-		acct.zeroCopy = true
-	}
-	scr.nb = net.Buffers(bufs)
-	_, werr := scr.nb.WriteTo(conn)
-	return true, werr
-}
-
-// handleWrite serves OpWrite. A direct store receives the payload
-// straight into store memory.
-func (s *Server) handleWrite(conn net.Conn, scr *connScratch, acct *opAcct) error {
-	off, err := scr.readUint64(conn)
-	if err != nil {
-		return err
-	}
-	n, err := scr.readUint32(conn)
-	if err != nil {
-		return err
-	}
-	if n > MaxIOSize {
-		return fmt.Errorf("%w: write of %d bytes exceeds limit", ErrProtocol, n)
-	}
-	if s.direct != nil {
-		if p, ok := s.direct.Slice(int64(off), int64(n)); ok {
-			s.beginWrite(int64(off), int64(n))
-			if _, err := io.ReadFull(conn, p); err != nil {
-				s.abortWrite(int64(off), int64(n))
-				return err
-			}
-			if acct != nil {
-				acct.in += int64(n)
-				acct.zeroCopy = true
-			}
-			s.endWrite(int64(off), p, 0, false)
-			return writeOK(conn, nil)
-		}
-	}
-	buf := getFrame(int(n))
+// serveCrcV answers OpCrcV: freshly recomputed CRC-32Cs of store
+// content for each range, no payload. The sidecar is deliberately NOT
+// consulted — recomputing from the bytes on the store is what lets
+// Volume.Scrub catch rot that happened after the write landed. The read
+// rate limit still applies (the store bytes are read), which is exactly
+// the saving's shape: scrub pays disk-read time but not wire time.
+func (s *Server) serveCrcV(c *srvConn, q *request) error {
+	r := c.newResp()
+	b := r.header(statusOK, 4*len(q.vecs))
+	buf := getFrame(0)
 	defer putFrame(buf)
-	if _, err := io.ReadFull(conn, *buf); err != nil {
-		return err
+	for i, v := range q.vecs {
+		if s.direct != nil {
+			if p, ok := s.direct.Slice(v.Off, int64(v.Len)); ok {
+				binary.BigEndian.PutUint32(b[4*i:], crc32c.Sum(p))
+				continue
+			}
+		}
+		if cap(*buf) < v.Len {
+			*buf = make([]byte, v.Len)
+		}
+		*buf = (*buf)[:v.Len]
+		if _, err := s.store.ReadAt(*buf, v.Off); err != nil {
+			c.drop(r)
+			return c.fail(q, plainErr, err)
+		}
+		binary.BigEndian.PutUint32(b[4*i:], crc32c.Sum(*buf))
 	}
-	if acct != nil {
-		acct.in += int64(n)
+	if s.readRate != nil {
+		s.readRate.wait(int(q.total))
 	}
-	s.beginWrite(int64(off), int64(n))
-	if _, err := s.store.WriteAt(*buf, int64(off)); err != nil {
-		s.abortWrite(int64(off), int64(n))
-		return s.reply(conn, acct, err)
-	}
-	s.endWrite(int64(off), *buf, 0, false)
-	return writeOK(conn, nil)
+	q.acct.out += int64(4 * len(q.vecs))
+	return c.send(q, r)
 }
 
-// handleWriteV serves OpWriteV and its CRC-verifying twin OpWriteVC.
-// Ranges are applied as they are decoded, so a 64 MiB batch never
-// buffers more than one range at a time. Framing violations tear the
-// connection: an oversized declared length means the payload boundary
-// is untrustworthy, so resynchronizing is impossible. On a store error
-// or CRC mismatch at range i the remaining ranges are drained (the
-// stream stays synchronized) and the extended response credits the
-// leading i ranges as applied.
+// handleWrite serves OpWrite, OpWriteV and OpWriteVC. OpWrite is one
+// off|len|data range with a bare reply; the vector forms carry a count
+// (and OpWriteVC a CRC per range) and answer with the applied count or
+// the extended error. Ranges are applied as they are decoded, so a
+// 64 MiB batch never buffers more than one range at a time.
+//
+// A bad count or an over-long range tears the connection: the payload
+// boundary is untrustworthy, so resynchronizing is impossible. A range
+// outside the store, a store error, or a CRC mismatch at range i is
+// answered instead: the remaining payload is drained (the stream stays
+// synchronized), the reply credits the leading i ranges as applied, and
+// a range rejected before the store was touched leaves the CRC sidecar
+// alone.
 //
 // Zero-copy caveat: a direct store receives each range straight into
 // store memory, so a range that dies mid-transfer — or is rejected for
@@ -269,34 +202,37 @@ func (s *Server) handleWrite(conn net.Conn, scr *connScratch, acct *opAcct) erro
 // sidecar entry is left invalid and the client sees the write fail, so
 // the mirror layer repairs it from the twin; the pooled path keeps the
 // stricter never-partially-applied guarantee.
-func (s *Server) handleWriteV(conn net.Conn, scr *connScratch, acct *opAcct, withCRC bool) error {
-	count, err := scr.readUint32(conn)
-	if err != nil {
-		return err
+func (s *Server) handleWrite(c *srvConn, q *request) error {
+	count, hdrSize := uint32(1), vecHdrSize
+	if q.op != OpWrite {
+		if _, err := io.ReadFull(c.r, c.hdr[:4]); err != nil {
+			return err
+		}
+		count = binary.BigEndian.Uint32(c.hdr[:4])
+		if count == 0 || count > MaxVecCount {
+			return fmt.Errorf("%w: scatter of %d ranges outside [1,%d]", ErrProtocol, count, MaxVecCount)
+		}
+		if q.op == OpWriteVC {
+			hdrSize = vecHdrCRCSize
+		}
 	}
-	if count == 0 || count > MaxVecCount {
-		return fmt.Errorf("%w: scatter of %d ranges outside [1,%d]", ErrProtocol, count, MaxVecCount)
-	}
-	hdrSize := vecHdrSize
-	if withCRC {
-		hdrSize = vecHdrCRCSize
-	}
+	withCRC := q.op == OpWriteVC
+	size := s.store.Size()
 	buf := getFrame(0)
 	defer putFrame(buf)
 	var (
-		total    int64
-		storeErr error
-		crcErr   *CRCError
-		failed   int
+		total  int64
+		failed int
+		rerr   error // the remote error the reply will carry
 	)
 	for i := 0; i < int(count); i++ {
-		if _, err := io.ReadFull(conn, scr.hdr[:hdrSize]); err != nil {
+		if _, err := io.ReadFull(c.r, c.hdr[:hdrSize]); err != nil {
 			return err
 		}
-		v := getVecHdr(scr.hdr[:])
+		v := getVecHdr(c.hdr[:])
 		var want uint32
 		if withCRC {
-			want = binary.BigEndian.Uint32(scr.hdr[12:])
+			want = binary.BigEndian.Uint32(c.hdr[12:])
 		}
 		if v.Len < 0 || v.Len > MaxIOSize {
 			return fmt.Errorf("%w: scatter range of %d bytes exceeds limit", ErrProtocol, uint32(v.Len))
@@ -307,118 +243,121 @@ func (s *Server) handleWriteV(conn net.Conn, scr *connScratch, acct *opAcct, wit
 		if total > MaxIOSize {
 			return fmt.Errorf("%w: scatter of %d bytes exceeds limit", ErrProtocol, total)
 		}
-		draining := storeErr != nil || crcErr != nil
-		if !draining && s.direct != nil {
-			if p, ok := s.direct.Slice(v.Off, int64(v.Len)); ok {
-				s.beginWrite(v.Off, int64(v.Len))
-				if _, err := io.ReadFull(conn, p); err != nil {
-					s.abortWrite(v.Off, int64(v.Len))
-					return err
-				}
-				if acct != nil {
-					acct.in += int64(v.Len)
-					acct.zeroCopy = true
-				}
-				if withCRC {
-					if got := crc32c.Sum(p); got != want {
-						s.abortWrite(v.Off, int64(v.Len))
-						crcErr = &CRCError{Range: i, Want: want, Got: got, Write: true}
-						continue
-					}
-				}
-				s.endWrite(v.Off, p, want, withCRC)
-				continue
+		if rerr == nil {
+			if err := checkVec(v, size); err != nil {
+				rerr, failed = err, i
 			}
 		}
-		if cap(*buf) < v.Len {
-			*buf = make([]byte, v.Len)
-		}
-		*buf = (*buf)[:v.Len]
-		if _, err := io.ReadFull(conn, *buf); err != nil {
-			return err
-		}
-		if acct != nil {
-			acct.in += int64(v.Len)
-		}
-		if draining {
-			continue // drain the remaining ranges; stream stays synchronized
-		}
-		if withCRC {
-			if got := crc32c.Sum(*buf); got != want {
-				crcErr = &CRCError{Range: i, Want: want, Got: got, Write: true}
-				continue
+		if rerr != nil {
+			// The reply is decided; drain the rest to stay synchronized.
+			if _, err := io.CopyN(io.Discard, c.r, int64(v.Len)); err != nil {
+				return err
 			}
-		}
-		s.beginWrite(v.Off, int64(v.Len))
-		if _, err := s.store.WriteAt(*buf, v.Off); err != nil {
-			s.abortWrite(v.Off, int64(v.Len))
-			storeErr, failed = err, i
+			q.acct.in += int64(v.Len)
 			continue
 		}
-		s.endWrite(v.Off, *buf, want, withCRC)
-	}
-	if crcErr != nil {
-		if acct != nil {
-			acct.remoteErr = crcErr
-		}
-		return writeCRCErr(conn, crcErr.Range, crcErr.Want, crcErr.Got)
-	}
-	if storeErr != nil {
-		if acct != nil {
-			acct.remoteErr = storeErr
-		}
-		return writeWriteVErr(conn, failed, storeErr)
-	}
-	scr.hdr[0] = statusOK
-	binary.BigEndian.PutUint32(scr.hdr[1:5], count)
-	_, werr := conn.Write(scr.hdr[:5])
-	return werr
-}
-
-// handleCrcV serves OpCrcV: freshly recomputed CRC-32Cs of store
-// content for each range, no payload. The sidecar is deliberately NOT
-// consulted — recomputing from the bytes on the store is what lets
-// Volume.Scrub catch rot that happened after the write landed. The read
-// rate limit still applies (the store bytes are read), which is exactly
-// the saving's shape: scrub pays disk-read time but not wire time.
-func (s *Server) handleCrcV(conn net.Conn, scr *connScratch, acct *opAcct) error {
-	vecs, total, err := s.readVecList(conn, scr, acct, "crc")
-	if vecs == nil {
-		return err
-	}
-	frame := getFrame(1 + 4*len(vecs))
-	defer putFrame(frame)
-	buf := getFrame(0)
-	defer putFrame(buf)
-	for i, v := range vecs {
-		var crc uint32
+		var p []byte
+		direct := false
 		if s.direct != nil {
-			if p, ok := s.direct.Slice(v.Off, int64(v.Len)); ok {
-				crc = crc32c.Sum(p)
-				binary.BigEndian.PutUint32((*frame)[1+4*i:], crc)
+			p, direct = s.direct.Slice(v.Off, int64(v.Len))
+		}
+		if direct {
+			s.beginWrite(v.Off, int64(v.Len))
+			if _, err := io.ReadFull(c.r, p); err != nil {
+				s.abortWrite(v.Off, int64(v.Len))
+				return err
+			}
+			q.acct.zeroCopy = true
+		} else {
+			if cap(*buf) < v.Len {
+				*buf = make([]byte, v.Len)
+			}
+			p = (*buf)[:v.Len]
+			if _, err := io.ReadFull(c.r, p); err != nil {
+				return err
+			}
+		}
+		q.acct.in += int64(v.Len)
+		if withCRC {
+			if got := crc32c.Sum(p); got != want {
+				if direct {
+					s.abortWrite(v.Off, int64(v.Len))
+				}
+				rerr, failed = &CRCError{Range: i, Want: want, Got: got, Write: true}, i
 				continue
 			}
 		}
-		if cap(*buf) < v.Len {
-			*buf = make([]byte, v.Len)
+		if !direct {
+			s.beginWrite(v.Off, int64(v.Len))
+			if _, err := s.store.WriteAt(p, v.Off); err != nil {
+				s.abortWrite(v.Off, int64(v.Len))
+				rerr, failed = err, i
+				continue
+			}
 		}
-		*buf = (*buf)[:v.Len]
-		if _, err := s.store.ReadAt(*buf, v.Off); err != nil {
-			return s.reply(conn, acct, err)
-		}
-		crc = crc32c.Sum(*buf)
-		binary.BigEndian.PutUint32((*frame)[1+4*i:], crc)
+		s.endWrite(v.Off, p, want, withCRC)
 	}
-	if s.readRate != nil {
-		s.readRate.wait(int(total))
+	switch {
+	case rerr != nil && q.op == OpWrite:
+		return c.fail(q, plainErr, rerr)
+	case rerr != nil:
+		return c.fail(q, failed, rerr)
+	case q.op == OpWrite:
+		return c.ok(q, nil)
+	default:
+		binary.BigEndian.PutUint32(c.hdr[:4], count)
+		return c.ok(q, c.hdr[:4])
 	}
-	if acct != nil {
-		acct.out += int64(4 * len(vecs))
-	}
-	(*frame)[0] = statusOK
-	_, werr := conn.Write(*frame)
-	return werr
 }
+
+// handleMgmt serves OpSize and the device-management opcodes. OpFail
+// and OpRebuild carry role(1) index(4); a bare-store server answers
+// everything but OpSize with a remote error.
+func (s *Server) handleMgmt(c *srvConn, q *request) error {
+	var id raid.DiskID
+	if q.op == OpFail || q.op == OpRebuild {
+		if _, err := io.ReadFull(c.r, c.hdr[:5]); err != nil {
+			return err
+		}
+		id = raid.DiskID{Role: raid.Role(c.hdr[0]), Index: int(binary.BigEndian.Uint32(c.hdr[1:5]))}
+	}
+	if q.op == OpSize {
+		binary.BigEndian.PutUint64(c.hdr[:8], uint64(s.store.Size()))
+		return c.ok(q, c.hdr[:8])
+	}
+	if s.mgmt == nil {
+		return c.fail(q, plainErr, errUnmanaged)
+	}
+	var err error
+	switch q.op {
+	case OpFail:
+		err = s.mgmt.FailDisk(id)
+	case OpRebuild:
+		err = s.mgmt.Rebuild(id)
+	case OpScrub:
+		err = s.mgmt.Scrub()
+	case OpHealth:
+		h := s.mgmt.Health()
+		failed := s.mgmt.FailedDisks()
+		payload := make([]byte, 0, 5*8+4+len(failed)*5)
+		for _, v := range []int64{h.ElementsRead, h.ElementsWritten, h.DegradedReads, h.ParityFallbacks, h.StripesRebuilt} {
+			payload = binary.BigEndian.AppendUint64(payload, uint64(v))
+		}
+		payload = binary.BigEndian.AppendUint32(payload, uint32(len(failed)))
+		for _, f := range failed {
+			payload = append(payload, byte(f.Role))
+			payload = binary.BigEndian.AppendUint32(payload, uint32(f.Index))
+		}
+		return c.ok(q, payload)
+	}
+	if err != nil {
+		return c.fail(q, plainErr, err)
+	}
+	return c.ok(q, nil)
+}
+
+// errUnmanaged answers management opcodes on a bare-store server.
+var errUnmanaged = errors.New("store server has no device management")
 
 // --- CRC sidecar ------------------------------------------------------
 
