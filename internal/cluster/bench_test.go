@@ -14,7 +14,7 @@ import (
 // loopback TCP and opens a Volume on them — so the numbers include real
 // socket round trips, which is exactly what the write-batching gate is
 // about.
-func benchVolume(b *testing.B, n int, elementSize int64, stripes int, disable bool) *Volume {
+func benchVolume(b *testing.B, n int, elementSize int64, stripes int) *Volume {
 	b.Helper()
 	arch := raid.NewMirror(layout.NewShifted(n))
 	addrs := map[raid.DiskID]string{}
@@ -28,9 +28,7 @@ func benchVolume(b *testing.B, n int, elementSize int64, stripes int, disable bo
 		addrs[id] = addr.String()
 		b.Cleanup(func() { srv.Close() })
 	}
-	cfg := fastConfig(elementSize, stripes)
-	cfg.DisableWriteBatch = disable
-	v, err := New(arch, addrs, cfg)
+	v, err := New(arch, addrs, fastConfig(elementSize, stripes))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,33 +37,26 @@ func benchVolume(b *testing.B, n int, elementSize int64, stripes int, disable bo
 }
 
 // BenchmarkClusterWrite measures full-stripe write throughput over
-// loopback: batched is one OpWriteV frame per replica backend per
-// stripe, unbatched is the pre-batching one-OpWrite-per-element-copy
-// wire behaviour (Config.DisableWriteBatch).
+// loopback: one OpWriteV frame per replica backend per stripe.
 func BenchmarkClusterWrite(b *testing.B) {
 	const n, stripes = 3, 8
 	const elementSize = 4096
 	stripeSize := int64(n) * int64(n) * elementSize
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{{"batched", false}, {"unbatched", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			v := benchVolume(b, n, elementSize, stripes, bc.disable)
-			p := make([]byte, stripeSize)
-			for i := range p {
-				p[i] = byte(i)
+	b.Run("batched", func(b *testing.B) {
+		v := benchVolume(b, n, elementSize, stripes)
+		p := make([]byte, stripeSize)
+		for i := range p {
+			p[i] = byte(i)
+		}
+		b.SetBytes(stripeSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := int64(i%stripes) * stripeSize
+			if _, err := v.WriteAt(p, off); err != nil {
+				b.Fatal(err)
 			}
-			b.SetBytes(stripeSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := int64(i%stripes) * stripeSize
-				if _, err := v.WriteAt(p, off); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkClusterRebuild measures one-pass network reconstruction of a
@@ -75,7 +66,7 @@ func BenchmarkClusterWrite(b *testing.B) {
 func BenchmarkClusterRebuild(b *testing.B) {
 	const n, stripes = 3, 8
 	const elementSize = 4096
-	v := benchVolume(b, n, elementSize, stripes, false)
+	v := benchVolume(b, n, elementSize, stripes)
 	payload := make([]byte, v.Size())
 	for i := range payload {
 		payload[i] = byte(i * 3)

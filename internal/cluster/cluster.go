@@ -77,9 +77,10 @@ type Config struct {
 	ElementSize int64
 	// Stripes is the stripe count per array. Default 8.
 	Stripes int
-	// PoolSize is the number of pooled connections per backend; one
-	// blockserver client serializes, so this bounds per-backend
-	// parallelism. Default 4.
+	// PoolSize is the number of connection slots per backend. In
+	// synchronous mode an op holds a slot for its whole round trip, so
+	// this bounds per-backend parallelism; in pipelined mode the slots'
+	// connections are shared round-robin. Default 4.
 	PoolSize int
 	// DialTimeout and OpTimeout are passed to every blockserver client.
 	// Defaults 2s and 15s. Note a rate-limited backend needs OpTimeout
@@ -111,13 +112,9 @@ type Config struct {
 	// capped at blockserver.MaxVecCount.
 	MaxBatch int
 	// RebuildBatch is how many stripes RebuildDisk recovers per
-	// exclusive-lock slice; user I/O flows between slices. Default 16.
+	// exclusive-lock slice, and how many stripes Scrub and ScrubOnline
+	// verify per read-lock hold; user I/O flows between them. Default 16.
 	RebuildBatch int
-	// DisableWriteBatch reverts the write fan-out to one OpWrite round
-	// trip per element copy instead of coalesced OpWriteV frames. It
-	// exists for A/B measurement (examples/writebench, smtool
-	// -nowritebatch); leave it false in production.
-	DisableWriteBatch bool
 	// WireCRC turns on end-to-end integrity: every backend dial
 	// negotiates blockserver.FeatureCRC, element reads and writes travel
 	// as CRC-carrying frames verified at both ends, a read whose every
@@ -132,10 +129,11 @@ type Config struct {
 	// negotiates blockserver.FeaturePipeline and the pool multiplexes
 	// many in-flight ops over a small number of tagged-frame connections
 	// (out-of-order completion, coalesced writev submission) instead of
-	// dedicating one connection per op. PoolSize then sets the number of
-	// multiplexed connections and PipelineWindow the in-flight ops each
-	// may carry. Backends that predate the feature fall back to the
-	// synchronous path per connection.
+	// dedicating one connection per op. The pool's slots, retries and
+	// dead-marking are the same in both modes; PoolSize then sets the
+	// number of multiplexed connections and PipelineWindow the in-flight
+	// ops each may carry. Backends that predate the feature fall back to
+	// the synchronous path per connection.
 	Pipeline bool
 	// PipelineWindow bounds the in-flight operations per pipelined
 	// connection. Default blockserver.DefaultPipeWindow.

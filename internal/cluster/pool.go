@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,27 +30,33 @@ type poolStats struct {
 }
 
 // pool is a fixed-size connection pool to one backend with a
-// marked-dead/probe-recovery state machine. Transport failures close the
-// offending connection and are retried on a fresh one with exponential
-// backoff; after DeadAfter consecutive failures the backend is marked
-// dead and callers fail fast until a background probe dial revives it.
+// marked-dead/probe-recovery state machine. Transport failures retire
+// the offending connection and are retried on a fresh one with
+// exponential backoff; after DeadAfter consecutive failures the backend
+// is marked dead and callers fail fast until a background probe dial
+// revives it.
 //
-// Two wiring modes share the state machine:
+// Both wire modes share one table of PoolSize connection slots, with
+// per-slot single-flight dialing, identity-checked retirement, one
+// retry loop (doCtx), and one way for a probe to hand its connection to
+// an empty slot. Only the choice of slot (pick/put) depends on the mode:
 //
 //   - synchronous (Config.Pipeline false): connections are the
-//     concurrency units — an op checks out a connection for its full
-//     round trip, bounded by the PoolSize slot semaphore.
-//   - pipelined (Config.Pipeline true): PoolSize multiplexed
+//     concurrency units — an op takes a slot for itself for its full
+//     round trip, through the PoolSize semaphore and a LIFO stack of
+//     free slots, so the most recently used live connection is reused
+//     first.
+//   - pipelined (Config.Pipeline true): the slots' multiplexed
 //     connections carry many tagged in-flight ops each (bounded by the
-//     per-connection window), picked round-robin; a transport tear
-//     retires the one connection — counted once, however many in-flight
-//     ops it failed — and the next op redials the slot.
+//     per-connection window) and are shared round-robin; a transport
+//     tear retires the one connection — counted once, however many
+//     in-flight ops it failed — and the next op redials the slot.
 type pool struct {
 	addr string
 	cfg  Config
 
-	slots chan struct{} // semaphore: cap = cfg.PoolSize (synchronous mode)
-	rr    atomic.Uint32 // round-robin cursor over pipes (pipelined mode)
+	sem chan struct{} // synchronous mode: cap = cfg.PoolSize
+	rr  atomic.Uint32 // pipelined mode: round-robin cursor over slots
 
 	// closeCtx is cancelled by close() so an in-flight dial — typically
 	// a recovery probe against an unreachable backend, which would
@@ -59,9 +66,9 @@ type pool struct {
 	cancelClose context.CancelFunc
 
 	mu         sync.Mutex
-	idle       []*blockserver.Client // synchronous mode
-	pipes      []*blockserver.Client // pipelined mode; nil slots redial on demand
-	dialing    []chan struct{}       // pipelined mode: per-slot single-flight dial latch
+	conns      []*blockserver.Client // slot table; nil slots dial on demand
+	dialing    []chan struct{}       // per-slot single-flight dial latch
+	free       []int                 // synchronous mode: free slots, most recently put last
 	closed     bool
 	dead       bool
 	probing    bool // a background probe dial is in flight
@@ -78,35 +85,27 @@ func newPool(addr string, cfg Config, stats *poolStats, pipeStats *blockserver.P
 		stats = &poolStats{}
 	}
 	p := &pool{addr: addr, cfg: cfg, stats: stats, pipeStats: pipeStats,
-		slots: make(chan struct{}, cfg.PoolSize)}
+		conns:   make([]*blockserver.Client, cfg.PoolSize),
+		dialing: make([]chan struct{}, cfg.PoolSize)}
 	p.closeCtx, p.cancelClose = context.WithCancel(context.Background())
+	p.sem = make(chan struct{}, cfg.PoolSize)
 	for i := 0; i < cfg.PoolSize; i++ {
-		p.slots <- struct{}{}
-	}
-	if cfg.Pipeline {
-		p.pipes = make([]*blockserver.Client, cfg.PoolSize)
-		p.dialing = make([]chan struct{}, cfg.PoolSize)
+		p.sem <- struct{}{}
+		p.free = append(p.free, i)
 	}
 	return p
 }
 
-// close tears down idle and multiplexed connections and aborts any dial
-// in flight; synchronous in-flight operations finish on their own
-// connections, pipelined in-flight ops fail with a closed error.
+// close tears down every slot's connection and aborts any dial in
+// flight; operations still in flight fail with a closed error.
 func (p *pool) close() {
 	p.mu.Lock()
 	p.closed = true
-	idle, pipes := p.idle, p.pipes
-	p.idle = nil
-	for i := range p.pipes {
-		p.pipes[i] = nil
-	}
+	conns := append([]*blockserver.Client(nil), p.conns...)
+	clear(p.conns)
 	p.mu.Unlock()
 	p.cancelClose()
-	for _, c := range idle {
-		c.Close()
-	}
-	for _, c := range pipes {
+	for _, c := range conns {
 		if c != nil {
 			c.Close()
 		}
@@ -126,10 +125,10 @@ func (p *pool) isDead() bool {
 
 // maybeProbe launches the background recovery probe when the backend is
 // dead and its probe window has opened. The probe dial holds no slot
-// token and no caller's context: foreground ops keep failing fast (and
-// keep their connection slots) while the probe sits out DialTimeout
-// against an unreachable peer. The window is pushed forward before the
-// dial so repeated callers cannot schedule a probe herd.
+// and no caller's context: foreground ops keep failing fast (and keep
+// their connection slots) while the probe sits out DialTimeout against
+// an unreachable peer. The window is pushed forward before the dial so
+// repeated callers cannot schedule a probe herd.
 func (p *pool) maybeProbe() {
 	p.mu.Lock()
 	if p.closed || !p.dead || p.probing || time.Now().Before(p.nextProbe) {
@@ -150,54 +149,48 @@ func (p *pool) maybeProbe() {
 }
 
 // probe is the background recovery dial. On success the backend is
-// revived and the fresh connection is handed to the pool (idle set or
-// an empty pipe slot) so the dial is not wasted; on failure the state
-// machine is left as maybeProbe set it (window advanced, level raised).
+// revived and the fresh connection goes to the first empty slot, so the
+// dial is not wasted; on failure the state machine is left as
+// maybeProbe set it (window advanced, level raised). A slot an op holds
+// in synchronous mode is empty only while that op dials it or between
+// its retirement and put, and connect keeps a donated connection, so
+// the donation never shares a synchronous connection between two ops.
 func (p *pool) probe() {
 	c, err := p.dial(p.closeCtx)
 	p.mu.Lock()
 	p.probing = false
+	if err != nil {
+		p.mu.Unlock()
+		return
+	}
+	if !p.closed {
+		if i := slices.Index(p.conns, nil); i >= 0 {
+			p.conns[i], c = c, nil
+		}
+	}
 	closed := p.closed
 	p.mu.Unlock()
-	if err != nil {
-		return
-	}
-	if closed {
+	if c != nil {
 		c.Close()
-		return
 	}
-	p.noteSuccess()
-	if p.cfg.Pipeline {
-		p.mu.Lock()
-		for i := range p.pipes {
-			if p.pipes[i] == nil {
-				p.pipes[i] = c
-				c = nil
-				break
-			}
-		}
-		p.mu.Unlock()
-		if c != nil {
-			c.Close()
-		}
-		return
+	if !closed {
+		p.noteSuccess()
 	}
-	p.release(c)
 }
 
 // do runs fn with a pooled connection, retrying transport failures on
 // fresh connections. Remote (application) errors are returned as-is and
-// keep the connection pooled; transport errors poison and close it.
+// keep the connection pooled; transport errors retire it.
 func (p *pool) do(fn func(*blockserver.Client) error) error {
 	return p.doCtx(context.Background(), func(_ context.Context, c *blockserver.Client) error {
 		return fn(c)
 	})
 }
 
-// doCtx is do with cancellation threaded through every stage: slot
-// acquisition, retry backoff, the dial, and the wire exchange itself
-// (the client interrupts in-flight frames — see blockserver.Client.do).
-// A cancelled op is the caller's doing, not the backend's: it is never
+// doCtx is do with cancellation threaded through every stage: the slot
+// wait, retry backoff, the dial, and the wire exchange itself (the
+// client interrupts in-flight frames — see blockserver.Client.do). A
+// cancelled op is the caller's doing, not the backend's: it is never
 // retried and never feeds the dead-marking state machine, so hedge
 // losers — which are cancelled constantly by design — cannot talk a
 // healthy backend into the dead state.
@@ -209,19 +202,9 @@ func (p *pool) doCtx(ctx context.Context, fn func(context.Context, *blockserver.
 	}
 	p.maybeProbe()
 	if p.isDead() {
-		p.stats.errors.Add(1)
+		p.stats.errors.Inc()
 		return fmt.Errorf("%w: %s", ErrBackendDead, p.addr)
 	}
-	if p.cfg.Pipeline {
-		return p.doPipelined(ctx, fn)
-	}
-	select {
-	case <-p.slots:
-	case <-ctx.Done():
-		p.stats.errors.Inc()
-		return ctx.Err()
-	}
-	defer func() { p.slots <- struct{}{} }()
 	var lastErr error
 	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -234,8 +217,14 @@ func (p *pool) doCtx(ctx context.Context, fn func(context.Context, *blockserver.
 				break
 			}
 		}
-		c, err := p.acquire(ctx)
+		slot, err := p.pick(ctx)
 		if err != nil {
+			p.stats.errors.Inc()
+			return err
+		}
+		c, err := p.connect(ctx, slot)
+		if err != nil {
+			p.put(slot)
 			if ctx.Err() != nil {
 				p.stats.errors.Inc()
 				return err
@@ -250,79 +239,26 @@ func (p *pool) doCtx(ctx context.Context, fn func(context.Context, *blockserver.
 		// (the bytes are bad, not the backend), no dead-marking.
 		if err == nil || blockserver.IsRemote(err) || blockserver.IsCRC(err) ||
 			errors.Is(err, blockserver.ErrNoCRC) {
-			p.release(c)
+			p.put(slot)
 			p.noteSuccess()
 			if err != nil {
 				p.stats.errors.Inc()
 			}
 			return err
 		}
-		// Transport trouble: the client poisoned itself; drop it.
-		c.Close()
-		p.stats.poisoned.Inc()
-		if ctx.Err() != nil {
+		// Transport trouble retires the connection. A cancelled caller
+		// retires it only if the cancel tore the stream (a synchronous
+		// frame interrupted mid-flight); an abandoned pipelined tag leaves
+		// the pipe healthy. Either way a cancel never dead-marks.
+		cancelled := ctx.Err() != nil
+		if !cancelled || c.Broken() != nil {
+			p.retire(slot, c, !cancelled)
+		}
+		p.put(slot)
+		if cancelled {
 			p.stats.errors.Inc()
 			return err
 		}
-		lastErr = err
-		p.noteFailure()
-	}
-	p.stats.errors.Inc()
-	if p.isDead() {
-		return fmt.Errorf("%w: %s (last error: %v)", ErrBackendDead, p.addr, lastErr)
-	}
-	return fmt.Errorf("cluster: backend %s: %w", p.addr, lastErr)
-}
-
-// doPipelined is doCtx's multiplexed-mode body: the op submits into a
-// round-robin-picked pipelined connection's in-flight window instead of
-// checking a whole connection out, so PoolSize connections serve
-// PoolSize×PipelineWindow concurrent ops. Cancellation abandons only
-// this op's tag (the stream stays healthy, nothing is retried, nothing
-// feeds dead-marking); a transport tear retires the one connection —
-// counted as a single failure however many in-flight tags it killed —
-// and the retry redials the slot.
-func (p *pool) doPipelined(ctx context.Context, fn func(context.Context, *blockserver.Client) error) error {
-	var lastErr error
-	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			p.stats.retries.Inc()
-			if err := sleepCtx(ctx, p.cfg.RetryBackoff<<(attempt-1)); err != nil {
-				p.stats.errors.Inc()
-				return err
-			}
-			if p.isDead() {
-				break
-			}
-		}
-		slot, c, err := p.acquirePipe(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				p.stats.errors.Inc()
-				return err
-			}
-			lastErr = err
-			p.noteFailure()
-			continue
-		}
-		err = fn(ctx, c)
-		if err == nil || blockserver.IsRemote(err) || blockserver.IsCRC(err) ||
-			errors.Is(err, blockserver.ErrNoCRC) {
-			p.noteSuccess()
-			if err != nil {
-				p.stats.errors.Inc()
-			}
-			return err
-		}
-		if ctx.Err() != nil {
-			// The caller cancelled: the op abandoned its tag, the pipe is
-			// untouched. Never retried, never dead-marked.
-			p.stats.errors.Inc()
-			return err
-		}
-		// Transport trouble: the pipe failed every in-flight tag; retire
-		// the connection exactly once across all of them.
-		p.retirePipe(slot, c)
 		lastErr = err
 	}
 	p.stats.errors.Inc()
@@ -332,26 +268,65 @@ func (p *pool) doPipelined(ctx context.Context, fn func(context.Context, *blocks
 	return fmt.Errorf("cluster: backend %s: %w", p.addr, lastErr)
 }
 
-// acquirePipe returns the round-robin slot's multiplexed connection,
-// dialing it on first use or after a retirement. Dials are single-flight
-// per slot: concurrent ops landing on an empty slot wait for the one
-// dial in progress and share its connection instead of racing their own
-// — a multiplexed connection exists precisely so that N ops do not cost
-// N sockets.
-func (p *pool) acquirePipe(ctx context.Context) (int, *blockserver.Client, error) {
-	slot := int(p.rr.Add(1)) % len(p.pipes)
+// pick chooses the slot for one attempt — the only mode-dependent step.
+// Synchronous mode takes a slot for itself: a semaphore token, then the
+// most recently put free slot that still holds a connection (LIFO reuse),
+// or the most recently put empty one when none does. Pipelined mode
+// shares the slots round-robin.
+func (p *pool) pick(ctx context.Context) (int, error) {
+	if p.cfg.Pipeline {
+		return int(p.rr.Add(1)) % len(p.conns), nil
+	}
+	select {
+	case <-p.sem:
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	top := len(p.free) - 1
+	for i := top; i >= 0; i-- {
+		if p.conns[p.free[i]] != nil {
+			top = i
+			break
+		}
+	}
+	slot := p.free[top]
+	p.free = append(p.free[:top], p.free[top+1:]...)
+	return slot, nil
+}
+
+// put hands a picked slot back (synchronous mode; pipelined slots are
+// shared and never held).
+func (p *pool) put(slot int) {
+	if p.cfg.Pipeline {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, slot)
+	p.mu.Unlock()
+	p.sem <- struct{}{}
+}
+
+// connect returns the slot's connection, dialing it on first use or
+// after a retirement. Dials are single-flight per slot: concurrent ops
+// landing on an empty pipelined slot wait for the one dial in progress
+// and share its connection instead of racing their own — a multiplexed
+// connection exists precisely so that N ops do not cost N sockets. A
+// connection a probe donated while the dial ran wins over the dial's.
+func (p *pool) connect(ctx context.Context, slot int) (*blockserver.Client, error) {
 	for {
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
-			return 0, nil, fmt.Errorf("cluster: pool for %s is closed", p.addr)
+			return nil, p.closedErr()
 		}
-		if c := p.pipes[slot]; c != nil {
+		if c := p.conns[slot]; c != nil {
 			if c.Broken() == nil {
 				p.mu.Unlock()
-				return slot, c, nil
+				return c, nil
 			}
-			p.pipes[slot] = nil
+			p.conns[slot] = nil
 			p.mu.Unlock()
 			c.Close()
 			continue
@@ -362,9 +337,9 @@ func (p *pool) acquirePipe(ctx context.Context) (int, *blockserver.Client, error
 			case <-ch:
 				continue // the dial finished; re-read the slot
 			case <-ctx.Done():
-				return 0, nil, ctx.Err()
+				return nil, ctx.Err()
 			case <-p.closeCtx.Done():
-				return 0, nil, fmt.Errorf("cluster: pool for %s is closed", p.addr)
+				return nil, p.closedErr()
 			}
 		}
 		ch := make(chan struct{})
@@ -374,45 +349,51 @@ func (p *pool) acquirePipe(ctx context.Context) (int, *blockserver.Client, error
 		p.mu.Lock()
 		p.dialing[slot] = nil
 		close(ch)
-		if p.closed {
-			p.mu.Unlock()
-			if c != nil {
-				c.Close()
-			}
-			return 0, nil, fmt.Errorf("cluster: pool for %s is closed", p.addr)
+		switch {
+		case err != nil:
+		case p.closed:
+			err = p.closedErr()
+		case p.conns[slot] != nil:
+			// A probe donated a connection while we dialed; keep it and
+			// close ours.
+		default:
+			p.conns[slot], c = c, nil
+		}
+		cur := p.conns[slot]
+		p.mu.Unlock()
+		if c != nil {
+			c.Close()
 		}
 		if err != nil {
-			p.mu.Unlock()
-			return 0, nil, err
+			return nil, err
 		}
-		if cur := p.pipes[slot]; cur != nil {
-			// A probe donated a connection while we dialed; keep it.
-			p.mu.Unlock()
-			c.Close()
-			return slot, cur, nil
-		}
-		p.pipes[slot] = c
-		p.mu.Unlock()
-		return slot, c, nil
+		return cur, nil
 	}
 }
 
-// retirePipe drops a torn multiplexed connection from its slot. The
-// identity check makes the first observer the only one that closes the
-// connection and feeds the failure counter: a tear fails every op in
-// the window at once, and counting it once per op would catapult the
-// backend into the dead state on a single flaky socket.
-func (p *pool) retirePipe(slot int, c *blockserver.Client) {
+func (p *pool) closedErr() error {
+	return fmt.Errorf("cluster: pool for %s is closed", p.addr)
+}
+
+// retire drops a torn connection from its slot. The identity check
+// makes the first observer the only one that closes the connection and
+// feeds the failure counter: a pipelined tear fails every op in the
+// window at once, and counting it once per op would catapult the backend
+// into the dead state on a single flaky socket. fault is false for a
+// caller's cancel, which is never held against the backend.
+func (p *pool) retire(slot int, c *blockserver.Client, fault bool) {
 	p.mu.Lock()
-	owner := p.pipes[slot] == c
+	owner := p.conns[slot] == c
 	if owner {
-		p.pipes[slot] = nil
+		p.conns[slot] = nil
 	}
 	p.mu.Unlock()
 	if owner {
 		c.Close()
 		p.stats.poisoned.Inc()
-		p.noteFailure()
+		if fault {
+			p.noteFailure()
+		}
 	}
 }
 
@@ -430,26 +411,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// acquire pops an idle connection or dials a new one (synchronous
-// mode). Probing a dead backend is not this path's job anymore: the
-// background probe owns recovery, so acquire only runs against a
-// believed-healthy peer.
-func (p *pool) acquire(ctx context.Context) (*blockserver.Client, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("cluster: pool for %s is closed", p.addr)
-	}
-	if n := len(p.idle); n > 0 {
-		c := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
-		return c, nil
-	}
-	p.mu.Unlock()
-	return p.dial(ctx)
 }
 
 // dial opens one negotiated connection. The dial obeys both the
@@ -476,17 +437,6 @@ func (p *pool) dial(ctx context.Context) (*blockserver.Client, error) {
 		PipeWindow:  p.cfg.PipelineWindow,
 		PipeStats:   p.pipeStats,
 	})
-}
-
-// release returns a healthy connection to the idle set.
-func (p *pool) release(c *blockserver.Client) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || c.Broken() != nil {
-		c.Close()
-		return
-	}
-	p.idle = append(p.idle, c)
 }
 
 func (p *pool) noteSuccess() {

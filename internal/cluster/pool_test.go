@@ -23,25 +23,46 @@ func startStoreServer(t *testing.T, size int64) (*blockserver.Server, string, *d
 	return srv, addr.String(), store
 }
 
+// poolModes runs a pool test once per wire mode: the slot table, retry
+// loop and state machine are shared, only the choice of slot differs.
+func poolModes(t *testing.T, test func(t *testing.T, pipeline bool)) {
+	for _, pipeline := range []bool{false, true} {
+		name := map[bool]string{false: "sync", true: "pipelined"}[pipeline]
+		t.Run(name, func(t *testing.T) { test(t, pipeline) })
+	}
+}
+
+// TestPoolReusesConnections: sequential ops reuse pooled connections. A
+// synchronous op takes the most recently used slot, so one connection
+// serves them all; pipelined ops walk the slots round-robin, so each
+// slot dials once and is reused from then on.
 func TestPoolReusesConnections(t *testing.T) {
-	_, addr, _ := startStoreServer(t, 1024)
-	p := newPool(addr, fastConfig(64, 2), nil, nil)
-	defer p.close()
-	buf := make([]byte, 16)
-	for i := 0; i < 10; i++ {
-		if err := p.do(func(c *blockserver.Client) error {
-			_, err := c.ReadAt(buf, 0)
-			return err
-		}); err != nil {
-			t.Fatal(err)
+	poolModes(t, func(t *testing.T, pipeline bool) {
+		_, addr, _ := startStoreServer(t, 1024)
+		cfg := fastConfig(64, 2)
+		cfg.Pipeline = pipeline
+		p := newPool(addr, cfg, nil, nil)
+		defer p.close()
+		buf := make([]byte, 16)
+		for i := 0; i < 10; i++ {
+			if err := p.do(func(c *blockserver.Client) error {
+				_, err := c.ReadAt(buf, 0)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if dials := p.stats.dials.Load(); dials != 1 {
-		t.Fatalf("10 sequential ops used %d dials, want 1", dials)
-	}
-	if reqs := p.stats.requests.Load(); reqs != 10 {
-		t.Fatalf("requests counter %d, want 10", reqs)
-	}
+		want := int64(1)
+		if pipeline {
+			want = int64(cfg.PoolSize)
+		}
+		if dials := p.stats.dials.Load(); dials != want {
+			t.Fatalf("10 sequential ops used %d dials, want %d", dials, want)
+		}
+		if reqs := p.stats.requests.Load(); reqs != 10 {
+			t.Fatalf("requests counter %d, want 10", reqs)
+		}
+	})
 }
 
 func TestPoolRemoteErrorKeepsConnection(t *testing.T) {
@@ -73,49 +94,47 @@ func TestPoolRemoteErrorKeepsConnection(t *testing.T) {
 }
 
 func TestPoolMarksDeadThenFailsFast(t *testing.T) {
-	srv, addr, _ := startStoreServer(t, 1024)
-	cfg := fastConfig(64, 2)
-	cfg.ProbeEvery = time.Minute // keep the probe window shut
-	p := newPool(addr, cfg, nil, nil)
-	defer p.close()
-	buf := make([]byte, 16)
-	read := func() error {
-		return p.do(func(c *blockserver.Client) error {
-			_, err := c.ReadAt(buf, 0)
-			return err
-		})
-	}
-	if err := read(); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	for i := 0; i < 4 && !p.isDead(); i++ {
-		read() // expected to fail; drives the failure counter
-	}
-	if !p.isDead() {
-		t.Fatal("backend not marked dead after repeated failures")
-	}
-	start := time.Now()
-	err := read()
-	if !errors.Is(err, ErrBackendDead) {
-		t.Fatalf("want ErrBackendDead, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("dead backend not failing fast: %v", elapsed)
-	}
+	poolModes(t, func(t *testing.T, pipeline bool) {
+		srv, addr, _ := startStoreServer(t, 1024)
+		cfg := fastConfig(64, 2)
+		cfg.Pipeline = pipeline
+		cfg.ProbeEvery = time.Minute // keep the probe window shut
+		p := newPool(addr, cfg, nil, nil)
+		defer p.close()
+		buf := make([]byte, 16)
+		read := func() error {
+			return p.do(func(c *blockserver.Client) error {
+				_, err := c.ReadAt(buf, 0)
+				return err
+			})
+		}
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		for i := 0; i < 4 && !p.isDead(); i++ {
+			read() // expected to fail; drives the failure counter
+		}
+		if !p.isDead() {
+			t.Fatal("backend not marked dead after repeated failures")
+		}
+		start := time.Now()
+		err := read()
+		if !errors.Is(err, ErrBackendDead) {
+			t.Fatalf("want ErrBackendDead, got %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Fatalf("dead backend not failing fast: %v", elapsed)
+		}
+	})
 }
 
 // TestPoolConcurrentKillRestart hammers one pool from many goroutines
 // while the backend dies and comes back — the -race exercise for the
-// slot semaphore, idle stack, pipelined slot array, and state machine.
-// Both wiring modes run the same script.
+// slot table, the synchronous semaphore and free-slot stack, and the
+// state machine. Both wiring modes run the same script.
 func TestPoolConcurrentKillRestart(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
-		name := map[bool]string{false: "sync", true: "pipelined"}[pipeline]
-		t.Run(name, func(t *testing.T) {
-			testPoolKillRestart(t, pipeline)
-		})
-	}
+	poolModes(t, testPoolKillRestart)
 }
 
 func testPoolKillRestart(t *testing.T, pipeline bool) {
@@ -297,65 +316,68 @@ func TestPoolPipelinedRemoteErrorKeepsPipe(t *testing.T) {
 // slot: with PoolSize=1 every window reopening froze an op for the full
 // DialTimeout.
 func TestPoolProbeHoldsNoSlot(t *testing.T) {
-	srv, addr, _ := startStoreServer(t, 1024)
-	cfg := fastConfig(64, 2)
-	cfg.PoolSize = 1
-	// WireCRC makes every dial run the OpFeatures exchange, so a dial
-	// against the silent listener below hangs until the deadline instead
-	// of succeeding on the bare TCP connect. (The store server has no
-	// CRC sidecar; it refuses the feature, which dials fine.)
-	cfg.WireCRC = true
-	cfg.DialTimeout = 2 * time.Second
-	cfg.ProbeEvery = 20 * time.Millisecond
-	cfg.MaxProbe = 20 * time.Millisecond
-	p := newPool(addr, cfg, nil, nil)
-	defer p.close()
-	buf := make([]byte, 16)
-	read := func() error {
-		return p.do(func(c *blockserver.Client) error {
-			_, err := c.ReadAt(buf, 0)
-			return err
-		})
-	}
-	if err := read(); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	for i := 0; i < 4 && !p.isDead(); i++ {
-		read()
-	}
-	if !p.isDead() {
-		t.Fatal("backend not marked dead after repeated failures")
-	}
-	// Replace the backend with a listener that accepts but never speaks:
-	// probe dials now hang in negotiation until DialTimeout.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Skipf("could not rebind %s: %v", addr, err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
+	poolModes(t, func(t *testing.T, pipeline bool) {
+		srv, addr, _ := startStoreServer(t, 1024)
+		cfg := fastConfig(64, 2)
+		cfg.Pipeline = pipeline
+		cfg.PoolSize = 1
+		// WireCRC makes every dial run the OpFeatures exchange, so a dial
+		// against the silent listener below hangs until the deadline instead
+		// of succeeding on the bare TCP connect. (The store server has no
+		// CRC sidecar; it refuses the feature, which dials fine.)
+		cfg.WireCRC = true
+		cfg.DialTimeout = 2 * time.Second
+		cfg.ProbeEvery = 20 * time.Millisecond
+		cfg.MaxProbe = 20 * time.Millisecond
+		p := newPool(addr, cfg, nil, nil)
+		defer p.close()
+		buf := make([]byte, 16)
+		read := func() error {
+			return p.do(func(c *blockserver.Client) error {
+				_, err := c.ReadAt(buf, 0)
+				return err
+			})
+		}
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		for i := 0; i < 4 && !p.isDead(); i++ {
+			read()
+		}
+		if !p.isDead() {
+			t.Fatal("backend not marked dead after repeated failures")
+		}
+		// Replace the backend with a listener that accepts but never speaks:
+		// probe dials now hang in negotiation until DialTimeout.
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Skipf("could not rebind %s: %v", addr, err)
+		}
+		defer ln.Close()
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close() // hold it open, say nothing
 			}
-			defer conn.Close() // hold it open, say nothing
+		}()
+		// Give a probe time to launch and get stuck, then require every
+		// foreground op to fail fast while it hangs.
+		time.Sleep(50 * time.Millisecond)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			if err := read(); !errors.Is(err, ErrBackendDead) {
+				t.Fatalf("want ErrBackendDead while probing, got %v", err)
+			}
+			if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+				t.Fatalf("foreground op blocked %v behind the probe dial", elapsed)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-	}()
-	// Give a probe time to launch and get stuck, then require every
-	// foreground op to fail fast while it hangs.
-	time.Sleep(50 * time.Millisecond)
-	for i := 0; i < 5; i++ {
-		start := time.Now()
-		if err := read(); !errors.Is(err, ErrBackendDead) {
-			t.Fatalf("want ErrBackendDead while probing, got %v", err)
-		}
-		if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
-			t.Fatalf("foreground op blocked %v behind the probe dial", elapsed)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	})
 }
 
 // TestPoolBackgroundProbeRevives closes the loop: after the backend
@@ -363,49 +385,46 @@ func TestPoolProbeHoldsNoSlot(t *testing.T) {
 // fail-fast errors turn into successes without ever paying a dial
 // themselves. Both wiring modes.
 func TestPoolBackgroundProbeRevives(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
-		name := map[bool]string{false: "sync", true: "pipelined"}[pipeline]
-		t.Run(name, func(t *testing.T) {
-			srv, addr, store := startStoreServer(t, 1024)
-			cfg := fastConfig(64, 2)
-			cfg.Pipeline = pipeline
-			p := newPool(addr, cfg, nil, nil)
-			defer p.close()
-			buf := make([]byte, 16)
-			read := func() error {
-				return p.do(func(c *blockserver.Client) error {
-					_, err := c.ReadAt(buf, 0)
-					return err
-				})
+	poolModes(t, func(t *testing.T, pipeline bool) {
+		srv, addr, store := startStoreServer(t, 1024)
+		cfg := fastConfig(64, 2)
+		cfg.Pipeline = pipeline
+		p := newPool(addr, cfg, nil, nil)
+		defer p.close()
+		buf := make([]byte, 16)
+		read := func() error {
+			return p.do(func(c *blockserver.Client) error {
+				_, err := c.ReadAt(buf, 0)
+				return err
+			})
+		}
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		for i := 0; i < 4 && !p.isDead(); i++ {
+			read()
+		}
+		if !p.isDead() {
+			t.Fatal("backend not marked dead")
+		}
+		srv2, err := restartServer(store, addr)
+		if err != nil {
+			t.Skipf("could not rebind %s: %v", addr, err)
+		}
+		defer srv2.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if err := read(); err == nil {
+				break
 			}
-			if err := read(); err != nil {
-				t.Fatal(err)
+			if time.Now().After(deadline) {
+				t.Fatal("probe never revived the pool")
 			}
-			srv.Close()
-			for i := 0; i < 4 && !p.isDead(); i++ {
-				read()
-			}
-			if !p.isDead() {
-				t.Fatal("backend not marked dead")
-			}
-			srv2, err := restartServer(store, addr)
-			if err != nil {
-				t.Skipf("could not rebind %s: %v", addr, err)
-			}
-			defer srv2.Close()
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				if err := read(); err == nil {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("probe never revived the pool")
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			if p.stats.revivals.Load() == 0 {
-				t.Fatal("revival not counted")
-			}
-		})
-	}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if p.stats.revivals.Load() == 0 {
+			t.Fatal("revival not counted")
+		}
+	})
 }

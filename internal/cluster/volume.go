@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -479,7 +477,7 @@ func (v *Volume) fetchSpans(ctx context.Context, spans []*span, kind fetchKind) 
 			go func(id raid.DiskID, g []*span) {
 				failed := v.fetchGroup(ctx, id, g, kind)
 				// fetchGroup can fail any subset of its batches (the
-				// pipelined burst lands them out of order), so count the
+				// burst lands them out of order), so count the
 				// served spans by exclusion; those with src > 0 were
 				// routed to a replica because the primary copy's disk
 				// was failed or dead.
@@ -529,71 +527,62 @@ func (v *Volume) fetchSpans(ctx context.Context, spans []*span, kind fetchKind) 
 	return nil
 }
 
-// fetchGroupBurst bounds the concurrent OpReadV batches one pipelined
-// gather keeps in flight per backend. The per-connection window already
-// bounds the wire; this only caps goroutines for absurdly large spans.
+// fetchGroupBurst bounds the concurrent OpReadV batches one gather
+// keeps in flight per backend. The pool already bounds the wire (slots
+// in synchronous mode, the per-connection window when pipelined); this
+// only caps goroutines for absurdly large spans.
 const fetchGroupBurst = 16
 
 // fetchGroup gathers one backend's spans in MaxBatch-sized OpReadV
 // round trips — hedged against the spans' replica locations for user
-// reads — and returns the spans it could not serve. In pipelined mode
-// every batch is submitted as one concurrent burst: the multiplexed
-// connections interleave the requests, coalesce their frames into few
-// writevs, and complete them out of order, so a multi-batch gather
-// costs one round-trip time instead of one per batch. In synchronous
-// mode batches stay serial, and a failed batch fails everything after
-// it too — the backend is likely down, so further round trips would
-// each burn a retry cycle.
+// reads — and returns the spans it could not serve. Spans that fit one
+// batch are read on the caller's goroutine. Larger gathers submit every
+// batch as one bounded concurrent burst: pooled connections interleave
+// the requests (pipelined connections also coalesce their frames and
+// complete them out of order), so a multi-batch gather costs about one
+// round-trip time instead of one per batch. Each failed batch fails
+// over on its own.
 func (v *Volume) fetchGroup(ctx context.Context, id raid.DiskID, spans []*span, kind fetchKind) []*span {
-	if v.cfg.Pipeline && len(spans) > v.cfg.MaxBatch {
-		var (
-			wg     sync.WaitGroup
-			mu     sync.Mutex
-			failed []*span
-			sem    = make(chan struct{}, fetchGroupBurst)
-		)
-		for start := 0; start < len(spans); start += v.cfg.MaxBatch {
-			end := start + v.cfg.MaxBatch
-			if end > len(spans) {
-				end = len(spans)
-			}
-			batch := spans[start:end]
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(batch []*span) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if err := v.readBatch(ctx, id, batch, kind); err != nil {
-					// Record why, so exhaustion can tell corruption
-					// from loss.
-					for _, s := range batch {
-						s.lastErr = err
-					}
-					mu.Lock()
-					failed = append(failed, batch...)
-					mu.Unlock()
-				}
-			}(batch)
-		}
-		wg.Wait()
-		return failed
+	if len(spans) <= v.cfg.MaxBatch {
+		return v.fetchBatch(ctx, id, spans, kind)
 	}
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed []*span
+		sem    = make(chan struct{}, fetchGroupBurst)
+	)
 	for start := 0; start < len(spans); start += v.cfg.MaxBatch {
-		end := start + v.cfg.MaxBatch
-		if end > len(spans) {
-			end = len(spans)
-		}
-		if err := v.readBatch(ctx, id, spans[start:end], kind); err != nil {
-			// This batch and everything after it fails over together; the
-			// pool has already retried and possibly marked the backend dead.
-			// Record why, so exhaustion can tell corruption from loss.
-			for _, s := range spans[start:] {
-				s.lastErr = err
+		batch := spans[start:min(start+v.cfg.MaxBatch, len(spans))]
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if f := v.fetchBatch(ctx, id, batch, kind); f != nil {
+				mu.Lock()
+				failed = append(failed, f...)
+				mu.Unlock()
 			}
-			return spans[start:]
-		}
+		}()
 	}
-	return nil
+	wg.Wait()
+	return failed
+}
+
+// fetchBatch reads one batch and returns it whole if the read failed,
+// with each span's lastErr recording why, so exhaustion can tell
+// corruption from loss. The pool has already retried and possibly
+// marked the backend dead.
+func (v *Volume) fetchBatch(ctx context.Context, id raid.DiskID, batch []*span, kind fetchKind) []*span {
+	err := v.readBatch(ctx, id, batch, kind)
+	if err == nil {
+		return nil
+	}
+	for _, s := range batch {
+		s.lastErr = err
+	}
+	return batch
 }
 
 // ReadAt implements io.ReaderAt over the logical space, gathering
@@ -868,9 +857,7 @@ func (v *Volume) packFrames(group []writeOp) []wframe {
 // runWrites issues ops grouped per backend. Each group is packed into
 // coalesced OpWriteV frames (see packFrames), so a full-stripe write
 // costs one round trip per replica backend instead of one per element
-// copy; with Config.DisableWriteBatch each op is one OpWrite round trip
-// (the pre-batching wire behaviour, kept for A/B measurement). Frames
-// within a group are drained by up to PoolSize workers.
+// copy. Frames within a group are drained by up to PoolSize workers.
 //
 // It returns the backends whose transport failed (candidates for
 // auto-fail), each mapped to the lowest stripe among its failed ops (so
@@ -895,61 +882,6 @@ func (v *Volume) runWrites(ctx context.Context, ops []writeOp, succeeded []atomi
 	var mu sync.Mutex
 	broken := map[raid.DiskID]int{}
 	var firstRemote error
-	noteRemote := func(id raid.DiskID, err error) {
-		mu.Lock()
-		if firstRemote == nil {
-			firstRemote = fmt.Errorf("cluster: backend %v: %w", id, err)
-		}
-		mu.Unlock()
-	}
-	noteBroken := func(id raid.DiskID, failed []writeOp) {
-		mu.Lock()
-		for _, op := range failed {
-			if cur, ok := broken[id]; !ok || op.stripe < cur {
-				broken[id] = op.stripe
-			}
-		}
-		mu.Unlock()
-	}
-	if v.cfg.DisableWriteBatch {
-		for id, g := range groups {
-			p := v.pools[id]
-			workers := v.cfg.PoolSize
-			if workers > len(g) {
-				workers = len(g)
-			}
-			var next atomic.Int64
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(id raid.DiskID, g []writeOp, next *atomic.Int64) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(g) {
-							return
-						}
-						op := g[i]
-						err := p.doCtx(ctx, func(ctx context.Context, c *blockserver.Client) error {
-							_, err := c.WriteAtCtx(ctx, op.data, op.off)
-							return err
-						})
-						switch {
-						case err == nil:
-							succeeded[op.elem].Add(1)
-						case ctx.Err() != nil:
-							// Cancelled, not broken: the caller reports ctx's error.
-						case blockserver.IsRemote(err):
-							noteRemote(id, err)
-						default:
-							noteBroken(id, g[i:i+1])
-						}
-					}
-				}(id, g, &next)
-			}
-		}
-		wg.Wait()
-		return broken, firstRemote
-	}
 	for id, g := range groups {
 		frames := v.packFrames(g)
 		p := v.pools[id]
@@ -989,14 +921,24 @@ func (v *Volume) runWrites(ctx context.Context, ops []writeOp, succeeded []atomi
 								succeeded[op.elem].Add(1)
 							}
 						}
-						noteRemote(id, err)
+						mu.Lock()
+						if firstRemote == nil {
+							firstRemote = fmt.Errorf("cluster: backend %v: %w", id, err)
+						}
+						mu.Unlock()
 					case ctx.Err() != nil:
 						// Cancelled, not broken: the caller reports ctx's error.
 					default:
 						// Transport trouble: nothing from this frame may be
 						// credited, and the watermark must roll back to the
 						// lowest stripe in the batch, not the last acked frame.
-						noteBroken(id, fr.ops)
+						mu.Lock()
+						for _, op := range fr.ops {
+							if cur, ok := broken[id]; !ok || op.stripe < cur {
+								broken[id] = op.stripe
+							}
+						}
+						mu.Unlock()
 					}
 				}
 			}(id, p, frames, &next)
@@ -1110,294 +1052,4 @@ func sortDisks(ids []raid.DiskID) {
 		}
 		return ids[i].Index < ids[j].Index
 	})
-}
-
-// ScrubReport summarizes a Scrub pass's coverage, so "clean" can be told
-// apart from "compared nothing".
-type ScrubReport struct {
-	// ElementsCompared counts replica elements checked against their
-	// data element.
-	ElementsCompared int64
-	// ChecksumCompared is the subset of ElementsCompared verified by
-	// CRC-32C comparison (the WireCRC OpCrcV fast path, which ships 4
-	// bytes per element instead of the element itself). The server
-	// recomputes each checksum from the store, so silent rot is still
-	// caught; only identical corruption of both copies can hide.
-	ChecksumCompared int64
-	// Skipped lists disks whose content went (at least partly)
-	// unverified: failed disks awaiting rebuild, and backends that were
-	// unreachable for at least one stripe batch.
-	Skipped []raid.DiskID
-}
-
-// readStore reads one backend's bytes through its pool in
-// MaxIOSize-bounded pieces, so a large buffer never trips the protocol's
-// per-request limit.
-func (v *Volume) readStore(ctx context.Context, id raid.DiskID, buf []byte, off int64) error {
-	for at := 0; at < len(buf); {
-		n := len(buf) - at
-		if n > blockserver.MaxIOSize {
-			n = blockserver.MaxIOSize
-		}
-		chunk := buf[at : at+n]
-		err := v.pools[id].doCtx(ctx, func(ctx context.Context, c *blockserver.Client) error {
-			_, err := c.ReadAtCtx(ctx, chunk, off+int64(at))
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		at += n
-	}
-	return nil
-}
-
-// readStoreCRCs fetches the CRC-32C of the len(out) consecutive
-// elements starting at store offset off on one backend, in requests
-// bounded by MaxBatch ranges and MaxIOSize covered bytes (the server
-// reads every range to checksum it, so the I/O budget applies even
-// though only 4 bytes per element travel back).
-func (v *Volume) readStoreCRCs(ctx context.Context, id raid.DiskID, out []uint32, off int64) error {
-	perReq := v.cfg.MaxBatch
-	if byBytes := int(blockserver.MaxIOSize / v.elementSize); byBytes < perReq {
-		perReq = byBytes
-	}
-	if perReq < 1 {
-		perReq = 1
-	}
-	vecs := make([]blockserver.Vec, 0, perReq)
-	for at := 0; at < len(out); at += perReq {
-		end := at + perReq
-		if end > len(out) {
-			end = len(out)
-		}
-		vecs = vecs[:0]
-		for i := at; i < end; i++ {
-			vecs = append(vecs, blockserver.Vec{Off: off + int64(i)*v.elementSize, Len: int(v.elementSize)})
-		}
-		chunk := out[at:end]
-		err := v.pools[id].doCtx(ctx, func(ctx context.Context, c *blockserver.Client) error {
-			return c.CrcV(ctx, vecs, chunk)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scrubBatchCRC verifies one stripe batch by checksum: one OpCrcV
-// gather per healthy disk, then the same data-versus-replica sweep as
-// the byte path over 4-byte sums instead of elementSize buffers. It
-// reports done=false — without consuming the batch — when any backend
-// answers ErrNoCRC, so Scrub can redo the batch byte-for-byte.
-func (v *Volume) scrubBatchCRC(ctx context.Context, report *ScrubReport, disks []raid.DiskID, skipped map[raid.DiskID]bool, s0, s1 int) (done bool, err error) {
-	rowBytes := int64(v.n) * v.elementSize
-	elems := (s1 - s0) * v.n
-	sums := map[raid.DiskID][]uint32{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var remoteErr error
-	noCRC := false
-	for _, id := range disks {
-		if !v.available(id, s1-1) && !v.available(id, s0) {
-			skipped[id] = true
-			continue
-		}
-		wg.Add(1)
-		go func(id raid.DiskID) {
-			defer wg.Done()
-			out := make([]uint32, elems)
-			err := v.readStoreCRCs(ctx, id, out, int64(s0)*rowBytes)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				sums[id] = out
-			case errors.Is(err, blockserver.ErrNoCRC):
-				noCRC = true
-			case blockserver.IsRemote(err):
-				if remoteErr == nil {
-					remoteErr = fmt.Errorf("cluster: scrub crc on %v: %w", id, err)
-				}
-			default:
-				skipped[id] = true // unreachable: skip, like a failed disk
-			}
-		}(id)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	if noCRC {
-		return false, nil
-	}
-	if remoteErr != nil {
-		return false, remoteErr
-	}
-	for stripe := s0; stripe < s1; stripe++ {
-		base := (stripe - s0) * v.n
-		for disk := 0; disk < v.n; disk++ {
-			for row := 0; row < v.n; row++ {
-				locs := v.locations(stripe, disk, row)
-				data, ok := sums[locs[0].id]
-				if !ok || !v.available(locs[0].id, stripe) {
-					continue
-				}
-				want := data[base+locs[0].row]
-				for _, loc := range locs[1:] {
-					repl, ok := sums[loc.id]
-					if !ok || !v.available(loc.id, stripe) {
-						continue
-					}
-					if repl[base+loc.row] != want {
-						return false, fmt.Errorf("%w: %v of data[%d] stripe %d row %d (checksum)",
-							ErrScrubMismatch, loc.id, disk, stripe, row)
-					}
-					report.ElementsCompared++
-					report.ChecksumCompared++
-				}
-			}
-		}
-	}
-	return true, nil
-}
-
-// Scrub streams every healthy disk's content stripe-batch by
-// stripe-batch and verifies each replica against its data element,
-// returning ErrScrubMismatch (wrapped with the first divergence) on
-// inconsistency. Store-level (remote) read errors are returned — they
-// mean a misconfigured backend, not a dead one. Disks that are failed or
-// whose backend is unreachable are skipped, listed in the report, and
-// surfaced as a wrapped ErrDegraded alongside the (still valid) report:
-// the pass compared what it could, but "clean" cannot be claimed for
-// the whole volume. ctx cancels the pass between reads and mid-frame.
-//
-// With Config.WireCRC the pass compares checksums instead of bytes:
-// each batch ships one OpCrcV per disk (4 bytes per element on the
-// wire, recomputed server-side so rot is still caught) rather than the
-// disks' full content. A backend that did not negotiate the CRC
-// feature flips the whole pass back to byte comparison — mixing modes
-// across batches would make coverage claims incoherent.
-func (v *Volume) Scrub(ctx context.Context) (ScrubReport, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	var report ScrubReport
-	batch := v.cfg.RebuildBatch
-	disks := v.arch.Disks()
-	skipped := map[raid.DiskID]bool{}
-	crcMode := v.cfg.WireCRC
-	for s0 := 0; s0 < v.stripes; s0 += batch {
-		if err := ctx.Err(); err != nil {
-			return report, err
-		}
-		s1 := s0 + batch
-		if s1 > v.stripes {
-			s1 = v.stripes
-		}
-		if crcMode {
-			done, err := v.scrubBatchCRC(ctx, &report, disks, skipped, s0, s1)
-			if err != nil {
-				return report, err
-			}
-			if done {
-				continue
-			}
-			// A backend predates or did not enable the CRC feature:
-			// re-verify this batch — and every later one — byte-for-byte.
-			crcMode = false
-		}
-		if err := v.scrubBatchBytes(ctx, &report, disks, skipped, s0, s1); err != nil {
-			return report, err
-		}
-	}
-	return report, v.scrubFinish(&report, skipped, len(disks))
-}
-
-// scrubBatchBytes verifies one stripe batch byte-for-byte: one full
-// content gather per healthy disk, then every replica compared against
-// its data element. Caller must hold v.mu (read).
-func (v *Volume) scrubBatchBytes(ctx context.Context, report *ScrubReport, disks []raid.DiskID, skipped map[raid.DiskID]bool, s0, s1 int) error {
-	rowBytes := int64(v.n) * v.elementSize
-	// One gather per disk for the whole stripe batch.
-	content := map[raid.DiskID][]byte{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var remoteErr error
-	for _, id := range disks {
-		if !v.available(id, s1-1) && !v.available(id, s0) {
-			skipped[id] = true
-			continue
-		}
-		wg.Add(1)
-		go func(id raid.DiskID) {
-			defer wg.Done()
-			buf := make([]byte, int64(s1-s0)*rowBytes)
-			err := v.readStore(ctx, id, buf, int64(s0)*rowBytes)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				content[id] = buf
-			case blockserver.IsRemote(err):
-				if remoteErr == nil {
-					remoteErr = fmt.Errorf("cluster: scrub read on %v: %w", id, err)
-				}
-			default:
-				skipped[id] = true // unreachable: skip, like a failed disk
-			}
-		}(id)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if remoteErr != nil {
-		return remoteErr
-	}
-	for stripe := s0; stripe < s1; stripe++ {
-		base := int64(stripe-s0) * rowBytes
-		for disk := 0; disk < v.n; disk++ {
-			for row := 0; row < v.n; row++ {
-				locs := v.locations(stripe, disk, row)
-				data, ok := content[locs[0].id]
-				if !ok || !v.available(locs[0].id, stripe) {
-					continue
-				}
-				want := data[base+int64(locs[0].row)*v.elementSize : base+int64(locs[0].row+1)*v.elementSize]
-				for _, loc := range locs[1:] {
-					repl, ok := content[loc.id]
-					if !ok || !v.available(loc.id, stripe) {
-						continue
-					}
-					got := repl[base+int64(loc.row)*v.elementSize : base+int64(loc.row+1)*v.elementSize]
-					if !bytes.Equal(want, got) {
-						return fmt.Errorf("%w: %v of data[%d] stripe %d row %d",
-							ErrScrubMismatch, loc.id, disk, stripe, row)
-					}
-					report.ElementsCompared++
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// scrubFinish closes out a completed pass (full-lock Scrub or online):
-// sorts the skipped list into the report, rolls the counters, and
-// decides the degraded verdict. total is the disk count of the volume.
-func (v *Volume) scrubFinish(report *ScrubReport, skipped map[raid.DiskID]bool, total int) error {
-	for id := range skipped {
-		report.Skipped = append(report.Skipped, id)
-	}
-	sortDisks(report.Skipped)
-	v.stats.scrubs.Inc()
-	v.stats.scrubElements.Add(report.ElementsCompared)
-	v.stats.scrubCRCElements.Add(report.ChecksumCompared)
-	v.stats.scrubSkipped.Add(int64(len(report.Skipped)))
-	v.trace(obs.Event{Op: "scrub", Bytes: report.ElementsCompared * v.elementSize})
-	if len(report.Skipped) > 0 {
-		return fmt.Errorf("%w: scrub skipped %d of %d disks", ErrDegraded, len(report.Skipped), total)
-	}
-	return nil
 }

@@ -10,6 +10,7 @@
 package dev
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -20,6 +21,9 @@ import (
 	"shiftedmirror/internal/layout"
 	"shiftedmirror/internal/raid"
 )
+
+// mirrorRoles[i] is the role of mirror array i (matches internal/raid).
+var mirrorRoles = []raid.Role{raid.RoleMirror, raid.RoleMirror2}
 
 // Errors.
 var (
@@ -243,10 +247,9 @@ func (d *Device) readElement(stripe, disk, row int) ([]byte, error) {
 	}
 	d.health.degradedReads.Add(1)
 	// Degraded: try each mirror array's replica.
-	roles := []raid.Role{raid.RoleMirror, raid.RoleMirror2}
 	for mi, arr := range d.arch.Mirrors() {
 		loc := arr.MirrorOf(layout.Addr{Disk: disk, Row: row})
-		id := raid.DiskID{Role: roles[mi], Index: loc.Disk}
+		id := raid.DiskID{Role: mirrorRoles[mi], Index: loc.Disk}
 		if d.available(id, stripe) {
 			return d.readRaw(id, stripe, loc.Row)
 		}
@@ -357,10 +360,9 @@ func (d *Device) writeElement(stripe, disk, row int, data []byte) error {
 	if err := d.writeRaw(raid.DiskID{Role: raid.RoleData, Index: disk}, stripe, row, data); err != nil {
 		return err
 	}
-	roles := []raid.Role{raid.RoleMirror, raid.RoleMirror2}
 	for mi, arr := range d.arch.Mirrors() {
 		loc := arr.MirrorOf(layout.Addr{Disk: disk, Row: row})
-		if err := d.writeRaw(raid.DiskID{Role: roles[mi], Index: loc.Disk}, stripe, loc.Row, data); err != nil {
+		if err := d.writeRaw(raid.DiskID{Role: mirrorRoles[mi], Index: loc.Disk}, stripe, loc.Row, data); err != nil {
 			return err
 		}
 	}
@@ -489,52 +491,8 @@ func (d *Device) recoverContent(stripe int, rec raid.Recovery, recovered map[rai
 func (d *Device) Scrub() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	roles := []raid.Role{raid.RoleMirror, raid.RoleMirror2}
-	for stripe := 0; stripe < d.stripes; stripe++ {
-		for row := 0; row < d.n; row++ {
-			parityAcc := make([]byte, d.elementSize)
-			parityOK := d.arch.Parity() && d.available(raid.DiskID{Role: raid.RoleParity, Index: 0}, stripe)
-			for disk := 0; disk < d.n; disk++ {
-				dataID := raid.DiskID{Role: raid.RoleData, Index: disk}
-				if !d.available(dataID, stripe) {
-					parityOK = false
-					continue
-				}
-				data, err := d.readRaw(dataID, stripe, row)
-				if err != nil {
-					return err
-				}
-				if parityOK {
-					gf.XorSlice(data, parityAcc)
-				}
-				for mi, arr := range d.arch.Mirrors() {
-					loc := arr.MirrorOf(layout.Addr{Disk: disk, Row: row})
-					id := raid.DiskID{Role: roles[mi], Index: loc.Disk}
-					if !d.available(id, stripe) {
-						continue
-					}
-					repl, err := d.readRaw(id, stripe, loc.Row)
-					if err != nil {
-						return err
-					}
-					if !bytesEqual(data, repl) {
-						return fmt.Errorf("%w: replica %v of data[%d] stripe %d row %d",
-							ErrScrubMismatch, id, disk, stripe, row)
-					}
-				}
-			}
-			if parityOK {
-				parity, err := d.readRaw(raid.DiskID{Role: raid.RoleParity, Index: 0}, stripe, row)
-				if err != nil {
-					return err
-				}
-				if !bytesEqual(parity, parityAcc) {
-					return fmt.Errorf("%w: parity stripe %d row %d", ErrScrubMismatch, stripe, row)
-				}
-			}
-		}
-	}
-	return nil
+	_, err := d.walk(false)
+	return err
 }
 
 // Resilver recomputes every redundant element of healthy disks from the
@@ -545,12 +503,31 @@ func (d *Device) Scrub() error {
 func (d *Device) Resilver() (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.walk(true)
+}
+
+// walk is the one redundancy sweep behind Scrub and Resilver: every
+// replica and parity element of a healthy disk is checked against what
+// the data elements say it must hold. Without repair the first
+// divergence is returned as ErrScrubMismatch; with repair it is
+// rewritten and counted. Caller holds d.mu (exclusively to repair).
+func (d *Device) walk(repair bool) (int, error) {
 	repaired := 0
-	roles := []raid.Role{raid.RoleMirror, raid.RoleMirror2}
+	fix := func(id raid.DiskID, stripe, row int, want []byte, what string) error {
+		if !repair {
+			return fmt.Errorf("%w: %s stripe %d row %d", ErrScrubMismatch, what, stripe, row)
+		}
+		if err := d.writeRaw(id, stripe, row, want); err != nil {
+			return err
+		}
+		repaired++
+		return nil
+	}
+	parityID := raid.DiskID{Role: raid.RoleParity, Index: 0}
 	for stripe := 0; stripe < d.stripes; stripe++ {
 		for row := 0; row < d.n; row++ {
 			parityAcc := make([]byte, d.elementSize)
-			parityOK := d.arch.Parity() && d.available(raid.DiskID{Role: raid.RoleParity, Index: 0}, stripe)
+			parityOK := d.arch.Parity() && d.available(parityID, stripe)
 			for disk := 0; disk < d.n; disk++ {
 				dataID := raid.DiskID{Role: raid.RoleData, Index: disk}
 				if !d.available(dataID, stripe) {
@@ -566,7 +543,7 @@ func (d *Device) Resilver() (int, error) {
 				}
 				for mi, arr := range d.arch.Mirrors() {
 					loc := arr.MirrorOf(layout.Addr{Disk: disk, Row: row})
-					id := raid.DiskID{Role: roles[mi], Index: loc.Disk}
+					id := raid.DiskID{Role: mirrorRoles[mi], Index: loc.Disk}
 					if !d.available(id, stripe) {
 						continue
 					}
@@ -574,40 +551,25 @@ func (d *Device) Resilver() (int, error) {
 					if err != nil {
 						return repaired, err
 					}
-					if !bytesEqual(data, repl) {
-						if err := d.writeRaw(id, stripe, loc.Row, data); err != nil {
+					if !bytes.Equal(data, repl) {
+						if err := fix(id, stripe, loc.Row, data, fmt.Sprintf("replica %v of data[%d]", id, disk)); err != nil {
 							return repaired, err
 						}
-						repaired++
 					}
 				}
 			}
 			if parityOK {
-				parityID := raid.DiskID{Role: raid.RoleParity, Index: 0}
 				parity, err := d.readRaw(parityID, stripe, row)
 				if err != nil {
 					return repaired, err
 				}
-				if !bytesEqual(parity, parityAcc) {
-					if err := d.writeRaw(parityID, stripe, row, parityAcc); err != nil {
+				if !bytes.Equal(parity, parityAcc) {
+					if err := fix(parityID, stripe, row, parityAcc, "parity"); err != nil {
 						return repaired, err
 					}
-					repaired++
 				}
 			}
 		}
 	}
 	return repaired, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
