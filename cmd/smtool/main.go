@@ -693,16 +693,12 @@ func cmdCluster(args []string) error {
 			rep.ElementsCompared, rep.ChecksumCompared)
 	}
 
-	h := v.Health()
-	fmt.Printf("\nhealth: %d elements read, %d written, %d degraded reads, %d failovers\n",
-		h.ElementsRead, h.ElementsWritten, h.DegradedReads, h.Failovers)
-	if h.Rebuilds > 0 {
-		fmt.Printf("rebuilds: %d (%.1f MB at %.1f MB/s)\n", h.Rebuilds, float64(h.RebuildBytes)/1e6, h.RebuildMBps)
-	}
-	// The full Stats snapshot carries the sm_cluster_hedge_* totals the
-	// health struct does not; surface them alongside the pool counters so
-	// hedging effectiveness is visible without scraping metrics.
 	finalStats := v.Stats()
+	fmt.Printf("\nhealth: %d elements read, %d written, %d degraded reads, %d failovers\n",
+		finalStats.ElementsRead, finalStats.ElementsWritten, finalStats.DegradedReads, finalStats.Failovers)
+	if rs := finalStats.Rebuild; rs.Completed > 0 {
+		fmt.Printf("rebuilds: %d (%.1f MB at %.1f MB/s)\n", rs.Completed, float64(rs.Bytes)/1e6, rs.MBps)
+	}
 	if hs := finalStats.Hedge; *hedge || hs.Attempts > 0 {
 		fmt.Printf("hedging: %d attempts, %d wins, %d losses, %d cancels\n",
 			hs.Attempts, hs.Wins, hs.Losses, hs.Cancels)
@@ -722,9 +718,9 @@ func cmdCluster(args []string) error {
 			qs.RateStripesPerSec, qs.HeadroomMicros, qs.Throttles, qs.Boosts, qs.WaitSeconds)
 	}
 	fmt.Printf("%-12s %-21s %5s %5s %8s %7s %5s %6s\n", "disk", "backend", "dead", "fail", "requests", "retries", "dials", "errors")
-	for _, b := range h.Backends {
+	for _, b := range finalStats.Backends {
 		fmt.Printf("%-12v %-21s %5v %5v %8d %7d %5d %6d\n",
-			b.ID, b.Addr, b.Dead, b.Failed, b.Requests, b.Retries, b.Dials, b.Errors)
+			b.Disk, b.Addr, b.Dead, b.Failed, b.Requests, b.Retries, b.Dials, b.Errors)
 	}
 	if *statsJSON {
 		// finalStats marshals the complete snapshot, hedge win/loss
@@ -883,6 +879,11 @@ func cmdShard(args []string) error {
 		if err := s.RebuildPending(context.Background()); err != nil {
 			return err
 		}
+		for _, d := range s.Placement().Devices {
+			if d.State != shard.DeviceOnline {
+				return fmt.Errorf("scheduler left group %d %s %v", d.Group, d.Disk, d.State)
+			}
+		}
 		fmt.Printf("scheduler rebuilt %d disks in %v\n", len(gds), time.Since(start).Round(time.Millisecond))
 		if _, err := s.ReadAt(check, 0); err != nil {
 			return err
@@ -896,12 +897,13 @@ func cmdShard(args []string) error {
 		fmt.Println("post-rebuild scrub clean")
 	}
 
-	h := s.Health()
+	table := s.Placement()
+	r := table.Rollup
 	fmt.Printf("\nhealth: %d groups, %d KiB, devices %d online / %d dead / %d pending / %d rebuilding, max incompleteness %d stripes\n",
-		h.Groups, h.SizeBytes/1024, h.Devices.Online, h.Devices.Dead,
-		h.Devices.ReplacementPending, h.Devices.Rebuilding, h.Devices.MaxIncompleteness)
+		len(s.Groups()), s.Size()/1024, r.Online, r.Dead,
+		r.ReplacementPending, r.Rebuilding, r.MaxIncompleteness)
 	if *tableJSON {
-		blob, err := json.MarshalIndent(s.Placement().Snapshot(), "", "  ")
+		blob, err := json.MarshalIndent(table, "", "  ")
 		if err != nil {
 			return err
 		}

@@ -93,11 +93,11 @@ func TestChaosBackendKilledMidRebuild(t *testing.T) {
 		t.Fatal("cluster and local reads diverge after chaos rebuild")
 	}
 
-	h := v.Health()
+	h := v.Stats()
 	if h.Failovers == 0 {
 		t.Fatalf("rebuild survived without recorded failovers: %+v", h)
 	}
-	if h.Rebuilds != 1 {
+	if h.Rebuild.Completed != 1 {
 		t.Fatalf("rebuild not counted: %+v", h)
 	}
 }
@@ -142,14 +142,14 @@ func TestChaosBackendRecoveryAfterRestart(t *testing.T) {
 	// primary again without a single failover.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		before := v.Health().Failovers
+		before := v.Stats().Failovers
 		if _, err := v.ReadAt(got, 0); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatal("read after restart mismatch")
 		}
-		if v.Health().Failovers == before {
+		if v.Stats().Failovers == before {
 			return // served with no failover: backend is back
 		}
 		if time.Now().After(deadline) {

@@ -26,7 +26,7 @@
 // (content lost, must be reconstructed), while each backend's
 // connection pool runs a marked-dead/probe-recovery state machine for
 // *network* trouble (timeouts, refused connections) with bounded
-// retry/backoff, surfaced through Health.
+// retry/backoff, surfaced through Stats and DiskStates.
 package cluster
 
 import (

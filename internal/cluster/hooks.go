@@ -6,9 +6,10 @@ import (
 
 // This file is the Volume's embedding surface: the exported read-only
 // hooks a composing layer (internal/shard's multi-group volume) needs to
-// route I/O, keep a placement table in sync, and schedule rebuilds —
-// without reaching into Volume internals or paying for a full Stats
-// snapshot per decision.
+// route I/O and schedule rebuilds without reaching into Volume
+// internals. The Volume is the only store of per-disk state; the
+// shard's placement table, its rollup gauges and its rebuild queue are
+// all derived from DiskStates when read.
 
 // ElementSize returns the element (striping unit) size in bytes.
 func (v *Volume) ElementSize() int64 { return v.elementSize }
@@ -19,49 +20,51 @@ func (v *Volume) Stripes() int { return v.stripes }
 // N returns the data-disk count n of the n×n mirror geometry.
 func (v *Volume) N() int { return v.n }
 
-// BackendAddr returns the address currently serving a disk slot.
-func (v *Volume) BackendAddr(id raid.DiskID) (string, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	addr, ok := v.addrs[id]
-	return addr, ok
+// DiskState is one disk slot's state as the volume holds it.
+type DiskState struct {
+	ID   raid.DiskID
+	Addr string // backend currently serving the slot
+	// Failed: content declared lost. Rebuilding: a RebuildDisk is in
+	// flight.
+	Failed, Rebuilding bool
+	// Replacement mirrors NBS's IsReplacement: set when ReplaceBackend
+	// attaches a backend to a failed disk, cleared when that disk's
+	// rebuild completes. Fail and auto-fail start a disk without it.
+	Replacement bool
+	// Dead is the pool state machine's verdict for the backend: marked
+	// dead with the probe window closed.
+	Dead bool
+	// Watermark is the disk's availability frontier in stripes: Stripes
+	// when healthy, the rebuild watermark while failed.
+	Watermark int64
 }
 
-// IsFailed reports whether a disk's content is currently declared lost.
-func (v *Volume) IsFailed(id raid.DiskID) bool {
+// DiskStates returns every disk's state, read under one lock hold and
+// sorted by role then index, matching arch.Disks().
+func (v *Volume) DiskStates() []DiskState {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.failed[id]
+	return v.diskStates()
 }
 
-// IsRebuilding reports whether the disk has a RebuildDisk in flight.
-func (v *Volume) IsRebuilding(id raid.DiskID) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.rebuilding[id]
-}
-
-// BackendDead reports the pool state machine's verdict for a disk's
-// backend: true while it is marked dead with the probe window closed.
-func (v *Volume) BackendDead(id raid.DiskID) bool {
-	v.mu.RLock()
-	p := v.pools[id]
-	v.mu.RUnlock()
-	if p == nil {
-		return false
+// diskStates is DiskStates for a caller already holding v.mu.
+func (v *Volume) diskStates() []DiskState {
+	disks := v.arch.Disks()
+	out := make([]DiskState, len(disks))
+	for i, id := range disks {
+		wm := int64(v.stripes)
+		if v.failed[id] {
+			wm = int64(v.progress[id])
+		}
+		out[i] = DiskState{
+			ID:          id,
+			Addr:        v.addrs[id],
+			Failed:      v.failed[id],
+			Rebuilding:  v.rebuilding[id],
+			Replacement: v.replacement[id],
+			Dead:        v.pools[id].isDead(),
+			Watermark:   wm,
+		}
 	}
-	return p.isDead()
-}
-
-// Watermark returns a disk's availability frontier in stripes: Stripes
-// when healthy, the rebuild watermark while failed. Stripes minus the
-// watermark is the disk's incompleteness — the per-disk stat a placement
-// table tracks to prioritize rebuilds.
-func (v *Volume) Watermark(id raid.DiskID) int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if v.failed[id] {
-		return int64(v.progress[id])
-	}
-	return int64(v.stripes)
+	return out
 }

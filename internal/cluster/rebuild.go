@@ -156,6 +156,7 @@ func (v *Volume) rebuildSlice(ctx context.Context, id raid.DiskID) (done bool, w
 	if s1 >= v.stripes {
 		delete(v.failed, id)
 		delete(v.progress, id)
+		delete(v.replacement, id)
 		return true, int64(len(buf)), nil
 	}
 	return false, int64(len(buf)), nil

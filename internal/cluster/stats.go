@@ -223,14 +223,13 @@ func (v *Volume) Stats() Stats {
 			WaitSeconds:       float64(v.stats.qosWaitNanos.Load()) / 1e9,
 		}
 	}
-	for _, id := range v.arch.Disks() {
-		ds := v.stats.perDisk[id]
-		p := v.pools[id]
+	for _, d := range v.diskStates() {
+		ds := v.stats.perDisk[d.ID]
 		s.Backends = append(s.Backends, BackendStats{
-			Disk:                id.String(),
-			Addr:                p.addr,
-			Dead:                p.isDead(),
-			Failed:              v.failed[id],
+			Disk:                d.ID.String(),
+			Addr:                d.Addr,
+			Dead:                d.Dead,
+			Failed:              d.Failed,
 			Requests:            ds.pool.requests.Load(),
 			Retries:             ds.pool.retries.Load(),
 			Dials:               ds.pool.dials.Load(),
@@ -239,7 +238,7 @@ func (v *Volume) Stats() Stats {
 			Deaths:              ds.pool.deaths.Load(),
 			Revivals:            ds.pool.revivals.Load(),
 			RebuildReadElements: ds.rebuildReads.Load(),
-			WatermarkStripes:    ds.watermark.Load(),
+			WatermarkStripes:    d.Watermark,
 		})
 	}
 	return s

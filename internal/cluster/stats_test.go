@@ -212,13 +212,13 @@ func TestResetRebuildReads(t *testing.T) {
 }
 
 // TestStatsReplaceBackendRace pins the snapshot-vs-lifecycle contract
-// under the race detector: Stats() and Health() take the volume's read
-// lock for the *full* snapshot (pool pointers, addresses, dead state,
-// and the per-disk-slot counters that survive ReplaceBackend), so
-// hammering them against concurrent ReplaceBackend calls — which close
-// and swap the pool under the exclusive lock while the slot's counters
-// carry over — and live I/O must be race-free and must never observe a
-// torn pools map.
+// under the race detector: Stats() and DiskStates() take the volume's
+// read lock for the *full* snapshot (pool pointers, addresses, dead
+// state, and the per-disk-slot counters that survive ReplaceBackend),
+// so hammering them against concurrent ReplaceBackend calls — which
+// close and swap the pool under the exclusive lock while the slot's
+// counters carry over — and live I/O must be race-free and must never
+// observe a torn pools map.
 func TestStatsReplaceBackendRace(t *testing.T) {
 	arch := raid.NewMirror(layout.NewShifted(3))
 	v, backends := newTestVolume(t, arch, 64, 4)
@@ -241,10 +241,9 @@ func TestStatsReplaceBackendRace(t *testing.T) {
 				t.Errorf("snapshot saw %d backends, want %d", len(s.Backends), len(arch.Disks()))
 				return
 			}
-			v.Health()
 		}
 	}()
-	go func() { // hook readers (the shard layer's polling surface)
+	go func() { // state readers (the shard layer's polling surface)
 		defer wg.Done()
 		for {
 			select {
@@ -252,11 +251,9 @@ func TestStatsReplaceBackendRace(t *testing.T) {
 				return
 			default:
 			}
-			for _, id := range arch.Disks() {
-				v.Watermark(id)
-				v.BackendDead(id)
-				if _, ok := v.BackendAddr(id); !ok {
-					t.Errorf("disk %v lost its address", id)
+			for _, d := range v.DiskStates() {
+				if d.Addr == "" {
+					t.Errorf("disk %v lost its address", d.ID)
 					return
 				}
 			}
@@ -310,5 +307,66 @@ func TestStatsReplaceBackendRace(t *testing.T) {
 		if b.Disk == target.String() && b.Requests == 0 {
 			t.Fatal("per-slot counters did not survive ReplaceBackend")
 		}
+	}
+}
+
+// TestDiskStatesReplacementBit pins the volume's IsReplacement bit:
+// ReplaceBackend on a failed disk sets it, that disk's rebuild clears
+// it, and Fail and auto-fail start a disk without it.
+func TestDiskStatesReplacementBit(t *testing.T) {
+	arch := raid.NewMirror(layout.NewShifted(3))
+	v, backends := newTestVolume(t, arch, 64, 2)
+	randomPayload(t, v, 7)
+	state := func(id raid.DiskID) DiskState {
+		t.Helper()
+		states := v.DiskStates()
+		for i, d := range states {
+			if d.ID != arch.Disks()[i] {
+				t.Fatalf("DiskStates()[%d] is %v, arch.Disks() has %v", i, d.ID, arch.Disks()[i])
+			}
+		}
+		for _, d := range states {
+			if d.ID == id {
+				return d
+			}
+		}
+		t.Fatalf("no state for %v", id)
+		return DiskState{}
+	}
+
+	lost := raid.DiskID{Role: raid.RoleData, Index: 0}
+	if err := v.ReplaceBackend(lost, backends.addrs[lost]); err != nil {
+		t.Fatal(err)
+	}
+	if st := state(lost); st.Failed || st.Replacement || st.Watermark != 2 {
+		t.Fatalf("healthy disk after ReplaceBackend: %+v", st)
+	}
+	if err := v.Fail(lost); err != nil {
+		t.Fatal(err)
+	}
+	if st := state(lost); !st.Failed || st.Replacement || st.Watermark != 0 {
+		t.Fatalf("after Fail: %+v", st)
+	}
+	addr := backends.replace(lost)
+	if err := v.ReplaceBackend(lost, addr); err != nil {
+		t.Fatal(err)
+	}
+	if st := state(lost); !st.Failed || !st.Replacement || st.Addr != addr {
+		t.Fatalf("after ReplaceBackend: %+v", st)
+	}
+	if err := v.RebuildDisk(context.Background(), lost); err != nil {
+		t.Fatal(err)
+	}
+	if st := state(lost); st.Failed || st.Rebuilding || st.Replacement || st.Watermark != 2 {
+		t.Fatalf("after RebuildDisk: %+v", st)
+	}
+
+	// Auto-fail: a rewrite over a killed backend fails the disk, with
+	// no replacement attached.
+	victim := raid.DiskID{Role: raid.RoleMirror, Index: 1}
+	backends.kill(victim)
+	randomPayload(t, v, 8)
+	if st := state(victim); !st.Failed || st.Replacement || st.Watermark != 0 {
+		t.Fatalf("after auto-fail: %+v", st)
 	}
 }

@@ -68,10 +68,14 @@ type Volume struct {
 	// backend, served and written there even before RebuildDisk ends).
 	// rebuilding marks disks with a RebuildDisk in flight, so a second
 	// concurrent rebuild of the same disk is rejected instead of racing
-	// on the watermark.
-	failed     map[raid.DiskID]bool
-	progress   map[raid.DiskID]int
-	rebuilding map[raid.DiskID]bool
+	// on the watermark. replacement marks failed disks that
+	// ReplaceBackend pointed at a fresh backend (see DiskState); it is
+	// only set while failed is and cleared with it, so a disk that
+	// fails starts without it.
+	failed      map[raid.DiskID]bool
+	progress    map[raid.DiskID]int
+	rebuilding  map[raid.DiskID]bool
+	replacement map[raid.DiskID]bool
 	// scrubPos is ScrubOnline's resumable cursor: the stripe the next
 	// online pass (or the resumption of a cancelled one) starts from.
 	scrubPos int
@@ -185,45 +189,6 @@ func (s *volumeStats) init(disks []raid.DiskID, stripes int) {
 	}
 }
 
-// BackendHealth is one backend's view in a Health snapshot.
-type BackendHealth struct {
-	ID   raid.DiskID
-	Addr string
-	// Dead is the pool state machine's verdict (network unreachable);
-	// Failed is the cluster-level disk state (content lost).
-	Dead   bool
-	Failed bool
-	// Requests counts operations submitted to the backend, Retries the
-	// extra attempts after transport failures, Dials the connections
-	// opened, and Errors the operations that ultimately failed.
-	Requests, Retries, Dials, Errors int64
-}
-
-// Health is a snapshot of cluster-wide service counters.
-type Health struct {
-	// ElementsRead/ElementsWritten count logical element operations.
-	ElementsRead, ElementsWritten int64
-	// DegradedReads counts element reads served from a replica because
-	// the data disk was failed or unreachable.
-	DegradedReads int64
-	// Failovers counts element fetches re-routed to another backend
-	// after an I/O failure (as opposed to planned degraded routing).
-	Failovers int64
-	// AutoFailed counts disks marked failed by the write path after
-	// their backend stopped accepting writes.
-	AutoFailed int64
-	// Rebuilds counts completed RebuildDisk runs; RebuildBytes and
-	// RebuildSeconds accumulate across them, and RebuildMBps is their
-	// ratio (0 before the first rebuild).
-	Rebuilds       int64
-	RebuildBytes   int64
-	RebuildSeconds float64
-	RebuildMBps    float64
-	// Backends holds per-backend states and counters, sorted by role
-	// then index.
-	Backends []BackendHealth
-}
-
 // New builds a Volume over the given architecture with one backend
 // address per disk. Every disk in arch.Disks() must have an address;
 // parity architectures are not supported (the cluster data path is
@@ -249,6 +214,7 @@ func New(arch *raid.Mirror, backends map[raid.DiskID]string, cfg Config) (*Volum
 		failed:      map[raid.DiskID]bool{},
 		progress:    map[raid.DiskID]int{},
 		rebuilding:  map[raid.DiskID]bool{},
+		replacement: map[raid.DiskID]bool{},
 	}
 	v.stats.init(arch.Disks(), cfg.Stripes)
 	if cfg.RebuildQoSSLO > 0 {
@@ -977,7 +943,8 @@ func (v *Volume) trace(ev obs.Event) {
 
 // ReplaceBackend points a disk at a new (typically fresh) backend,
 // closing the old pool. The usual sequence for a lost machine is
-// Fail → ReplaceBackend → RebuildDisk.
+// Fail → ReplaceBackend → RebuildDisk; replacing a failed disk's
+// backend sets its Replacement bit until the rebuild completes.
 func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -990,6 +957,9 @@ func (v *Volume) ReplaceBackend(id raid.DiskID, addr string) error {
 	// not erase the disk's service history.
 	v.pools[id] = newPool(addr, v.cfg, &v.stats.perDisk[id].pool, v.stats.pipe)
 	v.addrs[id] = addr
+	if v.failed[id] {
+		v.replacement[id] = true
+	}
 	v.trace(obs.Event{Op: "replace_backend", Target: id.String()})
 	return nil
 }
@@ -1004,45 +974,6 @@ func (v *Volume) FailedDisks() []raid.DiskID {
 	}
 	sortDisks(out)
 	return out
-}
-
-// Health returns a snapshot of cluster-wide and per-backend counters.
-func (v *Volume) Health() Health {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	h := Health{
-		ElementsRead:    v.stats.elementsRead.Load(),
-		ElementsWritten: v.stats.elementsWritten.Load(),
-		DegradedReads:   v.stats.degradedReads.Load(),
-		Failovers:       v.stats.failovers.Load(),
-		AutoFailed:      v.stats.autoFailed.Load(),
-		Rebuilds:        v.stats.rebuilds.Load(),
-		RebuildBytes:    v.stats.rebuildBytes.Load(),
-		RebuildSeconds:  float64(v.stats.rebuildNanos.Load()) / 1e9,
-	}
-	if h.RebuildSeconds > 0 {
-		h.RebuildMBps = float64(h.RebuildBytes) / 1e6 / h.RebuildSeconds
-	}
-	for id, p := range v.pools {
-		h.Backends = append(h.Backends, BackendHealth{
-			ID:       id,
-			Addr:     p.addr,
-			Dead:     p.isDead(),
-			Failed:   v.failed[id],
-			Requests: p.stats.requests.Load(),
-			Retries:  p.stats.retries.Load(),
-			Dials:    p.stats.dials.Load(),
-			Errors:   p.stats.errors.Load(),
-		})
-	}
-	sort.Slice(h.Backends, func(i, j int) bool {
-		a, b := h.Backends[i].ID, h.Backends[j].ID
-		if a.Role != b.Role {
-			return a.Role < b.Role
-		}
-		return a.Index < b.Index
-	})
-	return h
 }
 
 func sortDisks(ids []raid.DiskID) {

@@ -157,7 +157,7 @@ func TestVolumeRoundTrip(t *testing.T) {
 	if rep.ElementsCompared == 0 || len(rep.Skipped) != 0 {
 		t.Fatalf("scrub of a healthy volume compared %d elements, skipped %v", rep.ElementsCompared, rep.Skipped)
 	}
-	h := v.Health()
+	h := v.Stats()
 	if h.ElementsRead == 0 || h.ElementsWritten == 0 {
 		t.Fatalf("health counters flat: %+v", h)
 	}
@@ -209,7 +209,7 @@ func TestVolumeDegradedReadAfterFail(t *testing.T) {
 			if !bytes.Equal(got, payload) {
 				t.Fatal("degraded read mismatch")
 			}
-			if h := v.Health(); h.DegradedReads == 0 {
+			if h := v.Stats(); h.DegradedReads == 0 {
 				t.Fatalf("no degraded reads recorded: %+v", h)
 			}
 			// Writes while degraded skip the failed disk but stay readable.
@@ -242,13 +242,13 @@ func TestVolumeFailoverToReplicaBackendOnDeadServer(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("failover read mismatch")
 	}
-	h := v.Health()
+	h := v.Stats()
 	if h.Failovers == 0 {
 		t.Fatalf("no failovers recorded: %+v", h)
 	}
 	var deadSeen bool
 	for _, b := range h.Backends {
-		if b.ID == (raid.DiskID{Role: raid.RoleData, Index: 2}) && b.Dead {
+		if b.Disk == (raid.DiskID{Role: raid.RoleData, Index: 2}).String() && b.Dead {
 			deadSeen = true
 		}
 	}
@@ -355,7 +355,7 @@ func TestRebuildDiskMatchesLocalRebuild(t *testing.T) {
 			if len(v.FailedDisks()) != 0 {
 				t.Fatalf("still failed after rebuild: %v", v.FailedDisks())
 			}
-			if h := v.Health(); h.Rebuilds != 1 || h.RebuildBytes == 0 || h.RebuildMBps <= 0 {
+			if h := v.Stats(); h.Rebuild.Completed != 1 || h.Rebuild.Bytes == 0 || h.Rebuild.MBps <= 0 {
 				t.Fatalf("rebuild counters wrong: %+v", h)
 			}
 		})

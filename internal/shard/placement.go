@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 
+	"shiftedmirror/internal/cluster"
 	"shiftedmirror/internal/raid"
 )
 
@@ -78,19 +78,33 @@ type Device struct {
 	Disk  string      `json:"disk"` // raid.DiskID string form, e.g. "data[0]"
 	Addr  string      `json:"addr"`
 	State DeviceState `json:"state"`
-	// Replacement mirrors NBS's IsReplacement: true from the moment a
-	// fresh backend is attached until its rebuild completes — the window
-	// in which the slot's content cannot be trusted beyond the watermark.
+	// Replacement is the child volume's IsReplacement bit: true from the
+	// moment a fresh backend is attached to the failed slot until its
+	// rebuild completes — the window in which the slot's content cannot
+	// be trusted beyond the watermark.
 	Replacement bool `json:"replacement,omitempty"`
-	// ReadRateMBps is the device's advertised read bandwidth (the
-	// WithReadRate throttle it is served under), the signal the
-	// capacity/bandwidth-aware planner keys on. 0 means unthrottled.
-	ReadRateMBps float64 `json:"read_rate_mbps,omitempty"`
-	// CapacityBytes is the device's raw capacity; 0 means unknown.
-	CapacityBytes int64 `json:"capacity_bytes,omitempty"`
 	// IncompleteStripes is stripes-not-yet-rebuilt: 0 when online,
 	// Stripes right after a failure, shrinking as the watermark advances.
 	IncompleteStripes int64 `json:"incomplete_stripes"`
+}
+
+// deviceOf derives one slot's placement entry from the child volume's
+// state for that disk.
+func deviceOf(gid, stripes int, d cluster.DiskState) Device {
+	state := DeviceOnline
+	switch {
+	case d.Rebuilding:
+		state = DeviceRebuilding
+	case d.Failed && d.Replacement:
+		state = DeviceReplacementPending
+	case d.Failed || d.Dead:
+		state = DeviceDead
+	}
+	return Device{
+		Group: gid, Disk: d.ID.String(), Addr: d.Addr, State: state,
+		Replacement:       d.Replacement,
+		IncompleteStripes: int64(stripes) - d.Watermark,
+	}
 }
 
 // DeviceRollup aggregates the table the way NBS's
@@ -105,116 +119,51 @@ type DeviceRollup struct {
 	MaxIncompleteness  int64 `json:"max_incompleteness"`
 }
 
-// devKey addresses one slot: a group and a disk slot within it.
-type devKey struct {
-	group int
-	disk  raid.DiskID
-}
-
-// PlacementTable tracks device→group assignment and per-device state
-// for a sharded volume. All methods are safe for concurrent use. It
-// serializes to JSON (see Snapshot) for smtool inspection.
-type PlacementTable struct {
-	mu      sync.RWMutex
-	devices map[devKey]*Device
-}
-
-func newPlacementTable() *PlacementTable {
-	return &PlacementTable{devices: map[devKey]*Device{}}
-}
-
-func (t *PlacementTable) add(group int, disk raid.DiskID, addr string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.devices[devKey{group, disk}] = &Device{
-		Group: group, Disk: disk.String(), Addr: addr, State: DeviceOnline,
+func (r *DeviceRollup) add(d Device) {
+	switch d.State {
+	case DeviceOnline:
+		r.Online++
+	case DeviceDead:
+		r.Dead++
+	case DeviceReplacementPending:
+		r.ReplacementPending++
+	case DeviceRebuilding:
+		r.Rebuilding++
+	}
+	if d.Replacement {
+		r.Replacements++
+	}
+	if d.IncompleteStripes > r.MaxIncompleteness {
+		r.MaxIncompleteness = d.IncompleteStripes
 	}
 }
 
-func (t *PlacementTable) remove(group int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k := range t.devices {
-		if k.group == group {
-			delete(t.devices, k)
+// eachDevice derives every slot's placement entry from the live
+// children — one DiskStates read per group, in add order — and hands
+// it to fn with the slot's disk id and watermark. The children are the
+// only store of per-disk state; nothing here is cached.
+func (s *ShardedVolume) eachDevice(fn func(d Device, id raid.DiskID, watermark int64)) {
+	gs := s.pinAll()
+	defer unpinAll(gs)
+	for _, g := range gs {
+		stripes := g.vol.Stripes()
+		for _, st := range g.vol.DiskStates() {
+			fn(deviceOf(g.id, stripes, st), st.ID, st.Watermark)
 		}
 	}
 }
 
-// mutate applies fn to one slot under the lock; missing slots are a
-// no-op (the group was removed underneath an async observer).
-func (t *PlacementTable) mutate(group int, disk raid.DiskID, fn func(*Device)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d, ok := t.devices[devKey{group, disk}]; ok {
-		fn(d)
-	}
+// Snapshot is the JSON-serializable view of the table: every device
+// slot plus the rollup. smtool shard -table prints exactly this.
+type Snapshot struct {
+	Devices []Device     `json:"devices"`
+	Rollup  DeviceRollup `json:"rollup"`
 }
 
-// Device returns a copy of one slot's entry.
-func (t *PlacementTable) Device(group int, disk raid.DiskID) (Device, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	d, ok := t.devices[devKey{group, disk}]
-	if !ok {
-		return Device{}, false
-	}
-	return *d, true
-}
-
-// SetDeviceInfo records a device's bandwidth and capacity signals —
-// the planner's inputs, carried in the table so smtool dumps show what
-// the placement was decided on.
-func (t *PlacementTable) SetDeviceInfo(group int, disk raid.DiskID, readRateMBps float64, capacityBytes int64) {
-	t.mutate(group, disk, func(d *Device) {
-		d.ReadRateMBps = readRateMBps
-		d.CapacityBytes = capacityBytes
-	})
-}
-
-// Devices returns every slot, sorted by group then disk role/index —
-// the stable order JSON dumps and tests rely on.
-func (t *PlacementTable) Devices() []Device {
-	t.mu.RLock()
-	out := make([]Device, 0, len(t.devices))
-	for _, d := range t.devices {
-		out = append(out, *d)
-	}
-	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Group != out[j].Group {
-			return out[i].Group < out[j].Group
-		}
-		return out[i].Disk < out[j].Disk
-	})
-	return out
-}
-
-// Rollup aggregates slot counts per state and the worst incompleteness.
-func (t *PlacementTable) Rollup() DeviceRollup {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var r DeviceRollup
-	for _, d := range t.devices {
-		switch d.State {
-		case DeviceOnline:
-			r.Online++
-		case DeviceDead:
-			r.Dead++
-		case DeviceReplacementPending:
-			r.ReplacementPending++
-		case DeviceRebuilding:
-			r.Rebuilding++
-		}
-		if d.Replacement {
-			r.Replacements++
-		}
-		if d.IncompleteStripes > r.MaxIncompleteness {
-			r.MaxIncompleteness = d.IncompleteStripes
-		}
-	}
-	return r
-}
+// Placement derives the replica/placement table from the children's
+// state: every device slot, sorted by group then disk name, plus the
+// rollup. Reading it refreshes the placement gauges.
+func (s *ShardedVolume) Placement() Snapshot { return s.refreshRollups() }
 
 // groupPressure summarizes one group's rebuild urgency.
 type groupPressure struct {
@@ -226,35 +175,22 @@ type groupPressure struct {
 
 // pressure returns per-group urgency, keyed for the scheduler: how many
 // devices are not online, which of them are actionable
-// (replacement-pending), and the summed incompleteness.
-func (t *PlacementTable) pressure() []groupPressure {
-	t.mu.RLock()
-	byGroup := map[int]*groupPressure{}
-	for k, d := range t.devices {
-		gp := byGroup[k.group]
-		if gp == nil {
-			gp = &groupPressure{group: k.group}
-			byGroup[k.group] = gp
+// (replacement-pending, in disk order), and the summed incompleteness.
+func (s *ShardedVolume) pressure() []groupPressure {
+	var out []groupPressure
+	s.eachDevice(func(d Device, id raid.DiskID, _ int64) {
+		if len(out) == 0 || out[len(out)-1].group != d.Group {
+			out = append(out, groupPressure{group: d.Group})
 		}
+		gp := &out[len(out)-1]
 		if d.State != DeviceOnline {
 			gp.incomplete++
 			gp.stripes += d.IncompleteStripes
 		}
 		if d.State == DeviceReplacementPending {
-			gp.pending = append(gp.pending, k.disk)
+			gp.pending = append(gp.pending, id)
 		}
-	}
-	t.mu.RUnlock()
-	out := make([]groupPressure, 0, len(byGroup))
-	for _, gp := range byGroup {
-		sort.Slice(gp.pending, func(i, j int) bool {
-			if gp.pending[i].Role != gp.pending[j].Role {
-				return gp.pending[i].Role < gp.pending[j].Role
-			}
-			return gp.pending[i].Index < gp.pending[j].Index
-		})
-		out = append(out, *gp)
-	}
+	})
 	// Most incomplete devices first, then most missing stripes, then
 	// lowest group id so the order is fully deterministic.
 	sort.Slice(out, func(i, j int) bool {
@@ -267,21 +203,4 @@ func (t *PlacementTable) pressure() []groupPressure {
 		return out[i].group < out[j].group
 	})
 	return out
-}
-
-// Snapshot is the JSON-serializable view of the table: every device
-// slot plus the rollup. smtool shard -table prints exactly this.
-type Snapshot struct {
-	Devices []Device     `json:"devices"`
-	Rollup  DeviceRollup `json:"rollup"`
-}
-
-// Snapshot captures the table for serialization.
-func (t *PlacementTable) Snapshot() Snapshot {
-	return Snapshot{Devices: t.Devices(), Rollup: t.Rollup()}
-}
-
-// MarshalJSON renders the Snapshot form.
-func (t *PlacementTable) MarshalJSON() ([]byte, error) {
-	return json.Marshal(t.Snapshot())
 }

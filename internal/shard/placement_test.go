@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"shiftedmirror/internal/cluster"
 	"shiftedmirror/internal/raid"
 )
 
@@ -27,41 +28,65 @@ func TestDeviceStateJSON(t *testing.T) {
 	}
 }
 
+// TestDeviceOfRules pins how a child volume's disk state maps to a
+// placement state and incompleteness.
+func TestDeviceOfRules(t *testing.T) {
+	id := raid.DiskID{Role: raid.RoleMirror, Index: 1}
+	for _, c := range []struct {
+		st   cluster.DiskState
+		want DeviceState
+	}{
+		{cluster.DiskState{Watermark: 8}, DeviceOnline},
+		{cluster.DiskState{Dead: true, Watermark: 8}, DeviceDead},
+		{cluster.DiskState{Failed: true, Watermark: 3}, DeviceDead},
+		{cluster.DiskState{Failed: true, Replacement: true, Dead: true, Watermark: 3}, DeviceReplacementPending},
+		{cluster.DiskState{Failed: true, Replacement: true, Rebuilding: true, Watermark: 3}, DeviceRebuilding},
+		{cluster.DiskState{Failed: true, Rebuilding: true, Watermark: 3}, DeviceRebuilding},
+	} {
+		c.st.ID, c.st.Addr = id, "a"
+		d := deviceOf(4, 8, c.st)
+		if d.State != c.want || d.Group != 4 || d.Disk != "mirror[1]" || d.Addr != "a" ||
+			d.Replacement != c.st.Replacement || d.IncompleteStripes != 8-c.st.Watermark {
+			t.Fatalf("%+v derived %+v, want state %v", c.st, d, c.want)
+		}
+	}
+}
+
+// TestPlacementTableRollupAndPressure derives the table from child
+// volumes put into mixed states directly, and checks the rollup, the
+// scheduler's queue order and the JSON snapshot.
 func TestPlacementTableRollupAndPressure(t *testing.T) {
-	tab := newPlacementTable()
+	s, backends := newTestShard(t, 2, 32, []int{3, 5, 3}, Config{})
 	d0 := raid.DiskID{Role: raid.RoleData, Index: 0}
 	d1 := raid.DiskID{Role: raid.RoleData, Index: 1}
 	m0 := raid.DiskID{Role: raid.RoleMirror, Index: 0}
-	for g := 0; g < 3; g++ {
-		tab.add(g, d0, "a0")
-		tab.add(g, d1, "a1")
-		tab.add(g, m0, "a2")
+	lose := func(gid int, id raid.DiskID, replace bool) {
+		child, _ := s.GroupVolume(gid)
+		if err := child.Fail(id); err != nil {
+			t.Fatal(err)
+		}
+		if replace {
+			if err := child.ReplaceBackend(id, backends[gid].replace(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	// Group 1: one pending device, 5 stripes missing.
-	tab.mutate(1, d0, func(d *Device) {
-		d.State = DeviceReplacementPending
-		d.Replacement = true
-		d.IncompleteStripes = 5
-	})
-	// Group 2: two non-online devices (one pending, one dead), 3 missing.
-	tab.mutate(2, d1, func(d *Device) {
-		d.State = DeviceReplacementPending
-		d.IncompleteStripes = 2
-	})
-	tab.mutate(2, m0, func(d *Device) {
-		d.State = DeviceDead
-		d.IncompleteStripes = 1
-	})
+	lose(1, d0, true)
+	// Group 2: two non-online devices (one pending, one dead), 6 missing.
+	lose(2, d1, true)
+	lose(2, m0, false)
 
-	r := tab.Rollup()
-	if r.Online != 6 || r.Dead != 1 || r.ReplacementPending != 2 || r.Rebuilding != 0 {
+	snap := s.Placement()
+	r := snap.Rollup
+	if r.Online != 9 || r.Dead != 1 || r.ReplacementPending != 2 || r.Rebuilding != 0 {
 		t.Fatalf("rollup: %+v", r)
 	}
-	if r.Replacements != 1 || r.MaxIncompleteness != 5 {
+	if r.Replacements != 2 || r.MaxIncompleteness != 5 {
 		t.Fatalf("rollup extras: %+v", r)
 	}
 
-	q := tab.pressure()
+	q := s.pressure()
 	if len(q) != 3 {
 		t.Fatalf("pressure groups: %d", len(q))
 	}
@@ -78,19 +103,19 @@ func TestPlacementTableRollupAndPressure(t *testing.T) {
 	}
 
 	// Snapshot JSON round trip preserves states and ordering.
-	blob, err := json.Marshal(tab)
+	blob, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(blob, &snap); err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Devices) != 9 || snap.Rollup != r {
-		t.Fatalf("snapshot round trip: %+v", snap.Rollup)
+	if len(back.Devices) != 12 || back.Rollup != r {
+		t.Fatalf("snapshot round trip: %+v", back.Rollup)
 	}
-	for i := 1; i < len(snap.Devices); i++ {
-		a, b := snap.Devices[i-1], snap.Devices[i]
+	for i := 1; i < len(back.Devices); i++ {
+		a, b := back.Devices[i-1], back.Devices[i]
 		if a.Group > b.Group || (a.Group == b.Group && a.Disk > b.Disk) {
 			t.Fatalf("snapshot unsorted at %d: %+v then %+v", i, a, b)
 		}

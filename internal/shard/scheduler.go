@@ -15,9 +15,10 @@ import (
 // and the paper's shifted arrangement already spreads each rebuild
 // across all of them.
 //
-// The scheduler loops until a SyncPlacement round finds nothing
-// pending, so devices that fail or get replaced *while* it runs are
-// picked up by the next round. Per-device rebuild errors are collected
+// Each round derives its queue afresh from the children's state, and
+// the scheduler loops until a round finds nothing pending, so devices
+// that fail or get replaced *while* it runs — through this volume or
+// directly on a GroupVolume — are picked up by the next round. Per-device rebuild errors are collected
 // (errors.Join) and returned after the pass; a cancelled ctx stops
 // between devices.
 func (s *ShardedVolume) RebuildPending(ctx context.Context) error {
@@ -26,8 +27,7 @@ func (s *ShardedVolume) RebuildPending(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return errors.Join(append(all, err)...)
 		}
-		s.SyncPlacement()
-		queue := s.table.pressure()
+		queue := s.pressure()
 		work := queue[:0]
 		for _, gp := range queue {
 			if len(gp.pending) > 0 {

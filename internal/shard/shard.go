@@ -1,16 +1,16 @@
 // Package shard stripes one logical address space across many
-// shifted-mirror groups and routes every byte through a replica/
-// placement table.
+// shifted-mirror groups and derives a replica/placement table from
+// them.
 //
 // The paper's shifted arrangement fixes rebuild fan-out *within* one
 // n×n mirror group; this package is the layer above it: a
 // ShardedVolume owns a set of cluster.Volume children ("groups"),
-// interleaves logical stripes across them, and keeps a PlacementTable
-// of every backend device's state. A rebuild is therefore confined to
-// its group — backends in other groups serve zero rebuild-source
-// elements and their read latency is untouched — while capacity and
-// aggregate bandwidth grow with the group count instead of being
-// capped at n disks.
+// interleaves logical stripes across them, and derives every backend
+// device's placement state from the children on demand. A rebuild is
+// therefore confined to its group — backends in other groups serve
+// zero rebuild-source elements and their read latency is untouched —
+// while capacity and aggregate bandwidth grow with the group count
+// instead of being capped at n disks.
 //
 // Address-space math: every group shares the same n and element size,
 // so one stripe holds stripeBytes = n²·elementSize logical bytes.
@@ -90,7 +90,7 @@ type group struct {
 	id  int
 	vol *cluster.Volume
 	// refs counts management operations (scrub, rebuild, placement
-	// sync, stats rollups) using vol outside the volume lock;
+	// derivation, stats rollups) using vol outside the volume lock;
 	// RemoveGroup waits for it to drain before closing the child, so
 	// none of them ever sees a closed volume.
 	refs sync.WaitGroup
@@ -126,7 +126,6 @@ type ShardedVolume struct {
 	nextID   int
 	removal  *removalState // non-nil while a RemoveGroup is in flight or pending retry
 	cfg      Config
-	table    *PlacementTable
 	stats    shardStats
 
 	// migrateHook, when non-nil, runs outside the lock after each
@@ -157,7 +156,6 @@ func New(children []*cluster.Volume, cfg Config) (*ShardedVolume, error) {
 		stripeB:  int64(n) * int64(n) * elemSize,
 		groups:   map[int]*group{},
 		cfg:      cfg.withDefaults(),
-		table:    newPlacementTable(),
 	}
 	s.stats.init()
 	for _, c := range children {
@@ -226,10 +224,6 @@ func (s *ShardedVolume) attach(c *cluster.Volume) int {
 	s.nextID++
 	s.groups[gid] = &group{id: gid, vol: c}
 	s.order = append(s.order, gid)
-	for _, id := range c.Arch().Disks() {
-		addr, _ := c.BackendAddr(id)
-		s.table.add(gid, id, addr)
-	}
 	return gid
 }
 
@@ -265,8 +259,9 @@ func (s *ShardedVolume) Groups() []int {
 }
 
 // GroupVolume exposes one child volume for tooling (smtool, recon
-// harnesses). Mutating it directly bypasses the placement table; prefer
-// the ShardedVolume's Fail/ReplaceBackend/RebuildDisk.
+// harnesses). The placement table and the rebuild scheduler read the
+// child's own state, so Fail/ReplaceBackend/RebuildDisk on it are seen
+// exactly as if they went through the ShardedVolume.
 func (s *ShardedVolume) GroupVolume(gid int) (*cluster.Volume, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -283,9 +278,6 @@ func (s *ShardedVolume) ExtentTable() []Extent {
 	defer s.mu.RUnlock()
 	return append([]Extent(nil), s.extents...)
 }
-
-// Placement returns the replica/placement table.
-func (s *ShardedVolume) Placement() *PlacementTable { return s.table }
 
 // segment is one contiguous piece of a request routed to one group.
 type segment struct {
@@ -503,8 +495,8 @@ func unpinAll(gs []*group) {
 	}
 }
 
-// Fail declares one disk's content lost in the given group and moves
-// its placement entry to dead.
+// Fail declares one disk's content lost in the given group; its
+// placement entry reads dead until a replacement backend is attached.
 func (s *ShardedVolume) Fail(gid int, id raid.DiskID) error {
 	g, err := s.pin(gid)
 	if err != nil {
@@ -514,18 +506,13 @@ func (s *ShardedVolume) Fail(gid int, id raid.DiskID) error {
 	if err := g.vol.Fail(id); err != nil {
 		return err
 	}
-	stripes := int64(g.vol.Stripes())
-	s.table.mutate(gid, id, func(d *Device) {
-		d.State = DeviceDead
-		d.IncompleteStripes = stripes
-	})
 	s.refreshRollups()
 	return nil
 }
 
 // ReplaceBackend attaches a fresh backend to a disk slot of the given
-// group; the placement entry becomes replacement-pending, eligible for
-// the rebuild scheduler.
+// group; a failed slot's placement entry becomes replacement-pending,
+// eligible for the rebuild scheduler.
 func (s *ShardedVolume) ReplaceBackend(gid int, id raid.DiskID, addr string) error {
 	g, err := s.pin(gid)
 	if err != nil {
@@ -535,48 +522,32 @@ func (s *ShardedVolume) ReplaceBackend(gid int, id raid.DiskID, addr string) err
 	if err := g.vol.ReplaceBackend(id, addr); err != nil {
 		return err
 	}
-	s.table.mutate(gid, id, func(d *Device) {
-		d.Addr = addr
-		d.Replacement = true
-		if d.State == DeviceDead {
-			d.State = DeviceReplacementPending
-		}
-	})
 	s.refreshRollups()
 	return nil
 }
 
 // RebuildDisk reconstructs one disk of the given group through its
-// child volume, tracking the placement state machine: rebuilding for
-// the duration, online on success, back to replacement-pending on
-// failure (with the incompleteness the watermark got to).
+// child volume. The placement entry reads rebuilding for the duration,
+// online on success, and replacement-pending (with the incompleteness
+// the watermark got to) if a replacement's rebuild fails.
 func (s *ShardedVolume) RebuildDisk(ctx context.Context, gid int, id raid.DiskID) error {
 	g, err := s.pin(gid)
 	if err != nil {
 		return err
 	}
 	defer g.unpin()
-	s.table.mutate(gid, id, func(d *Device) { d.State = DeviceRebuilding })
 	s.stats.rebuildActive.Add(1)
 	err = g.vol.RebuildDisk(ctx, id)
 	s.stats.rebuildActive.Add(-1)
-	stripes := int64(g.vol.Stripes())
 	if err != nil {
 		s.stats.rebuildErrors.Inc()
-		s.table.mutate(gid, id, func(d *Device) {
-			d.State = DeviceReplacementPending
-			d.IncompleteStripes = stripes - g.vol.Watermark(id)
-		})
-		s.refreshRollups()
+	} else {
+		s.stats.rebuilds.Inc()
+	}
+	s.refreshRollups()
+	if err != nil {
 		return fmt.Errorf("shard: group %d: %w", gid, err)
 	}
-	s.stats.rebuilds.Inc()
-	s.table.mutate(gid, id, func(d *Device) {
-		d.State = DeviceOnline
-		d.Replacement = false
-		d.IncompleteStripes = 0
-	})
-	s.refreshRollups()
 	return nil
 }
 
@@ -642,45 +613,6 @@ type ScrubReport struct {
 	Skipped          []GroupDisk `json:"skipped,omitempty"`
 }
 
-// SyncPlacement polls every child's state hooks and reconciles the
-// placement table: rebuild progress advances incompleteness, auto-
-// failed or dead backends surface as dead, recovered disks go back
-// online. Idempotent; the rebuild scheduler calls it each round, and
-// operators can call it any time.
-func (s *ShardedVolume) SyncPlacement() {
-	gs := s.pinAll()
-	defer unpinAll(gs)
-	for _, g := range gs {
-		stripes := int64(g.vol.Stripes())
-		for _, id := range g.vol.Arch().Disks() {
-			rebuilding := g.vol.IsRebuilding(id)
-			failed := g.vol.IsFailed(id)
-			dead := g.vol.BackendDead(id)
-			wm := g.vol.Watermark(id)
-			addr, _ := g.vol.BackendAddr(id)
-			s.table.mutate(g.id, id, func(d *Device) {
-				d.Addr = addr
-				d.IncompleteStripes = stripes - wm
-				switch {
-				case rebuilding:
-					d.State = DeviceRebuilding
-				case failed || dead:
-					// A failed slot that already has a fresh backend stays
-					// replacement-pending (the scheduler's queue); anything
-					// else is dead until an operator attaches one.
-					if d.State != DeviceReplacementPending {
-						d.State = DeviceDead
-					}
-				default:
-					d.State = DeviceOnline
-					d.Replacement = false
-				}
-			})
-		}
-	}
-	s.refreshRollups()
-}
-
 // AddGroup attaches a new group online. Its stripes extend the logical
 // address space at the tail — capacity grows immediately, no data
 // moves. Returns the new group's stable id.
@@ -744,10 +676,10 @@ func (s *ShardedVolume) RemoveGroup(ctx context.Context, gid int) error {
 			s.mu.Unlock()
 			return ErrLastGroup
 		}
-		for _, id := range g.vol.Arch().Disks() {
-			if g.vol.IsFailed(id) || g.vol.IsRebuilding(id) {
+		for _, d := range g.vol.DiskStates() {
+			if d.Failed || d.Rebuilding {
 				s.mu.Unlock()
-				return fmt.Errorf("%w: group %d disk %v", ErrGroupDegraded, gid, id)
+				return fmt.Errorf("%w: group %d disk %v", ErrGroupDegraded, gid, d.ID)
 			}
 		}
 		removed := 0
@@ -826,7 +758,6 @@ func (s *ShardedVolume) RemoveGroup(ctx context.Context, gid int) error {
 	}
 	s.removal = nil
 	s.mu.Unlock()
-	s.table.remove(gid)
 	// Management operations that pinned the group before it left the
 	// map may still be using the child; let them drain before Close.
 	g.refs.Wait()

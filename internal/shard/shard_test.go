@@ -114,6 +114,18 @@ func newTestShard(tb testing.TB, n int, elementSize int64, stripesPer []int, cfg
 	return s, backends
 }
 
+// placed returns one slot's entry from the derived placement table.
+func placed(tb testing.TB, s *ShardedVolume, gid int, id raid.DiskID) Device {
+	tb.Helper()
+	for _, d := range s.Placement().Devices {
+		if d.Group == gid && d.Disk == id.String() {
+			return d
+		}
+	}
+	tb.Fatalf("no placement entry for group %d %v", gid, id)
+	return Device{}
+}
+
 func shardPayload(tb testing.TB, s *ShardedVolume, seed int64) []byte {
 	tb.Helper()
 	payload := make([]byte, s.Size())
@@ -214,20 +226,20 @@ func TestShardRebuildLifecycle(t *testing.T) {
 	if err := s.Fail(gid, lost); err != nil {
 		t.Fatal(err)
 	}
-	d, ok := s.Placement().Device(gid, lost)
-	if !ok || d.State != DeviceDead || d.IncompleteStripes != 3 {
+	d := placed(t, s, gid, lost)
+	if d.State != DeviceDead || d.IncompleteStripes != 3 {
 		t.Fatalf("after Fail: %+v", d)
 	}
 	if err := s.ReplaceBackend(gid, lost, backends[gid].replace(lost)); err != nil {
 		t.Fatal(err)
 	}
-	if d, _ = s.Placement().Device(gid, lost); d.State != DeviceReplacementPending || !d.Replacement {
+	if d = placed(t, s, gid, lost); d.State != DeviceReplacementPending || !d.Replacement {
 		t.Fatalf("after ReplaceBackend: %+v", d)
 	}
 	if err := s.RebuildDisk(context.Background(), gid, lost); err != nil {
 		t.Fatal(err)
 	}
-	if d, _ = s.Placement().Device(gid, lost); d.State != DeviceOnline || d.Replacement || d.IncompleteStripes != 0 {
+	if d = placed(t, s, gid, lost); d.State != DeviceOnline || d.Replacement || d.IncompleteStripes != 0 {
 		t.Fatalf("after RebuildDisk: %+v", d)
 	}
 
@@ -288,13 +300,13 @@ func TestShardScheduler(t *testing.T) {
 	}
 	// Group 2 has two incomplete devices: highest pressure, first in the
 	// deterministic queue.
-	if q := s.Placement().pressure(); q[0].group != 2 || len(q[0].pending) != 2 {
+	if q := s.pressure(); q[0].group != 2 || len(q[0].pending) != 2 {
 		t.Fatalf("pressure queue head: %+v", q)
 	}
 	if err := s.RebuildPending(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	r := s.Placement().Rollup()
+	r := s.Placement().Rollup
 	if r.Online != 18 || r.Dead+r.ReplacementPending+r.Rebuilding != 0 {
 		t.Fatalf("rollup after scheduler: %+v", r)
 	}
@@ -469,35 +481,113 @@ func TestShardRemoveGroupRefusesDegraded(t *testing.T) {
 	}
 }
 
-func TestShardSyncPlacement(t *testing.T) {
+// TestShardGroupVolumeLifecycleReachesScheduler fails and replaces a
+// disk directly on the child volume: the placement table and the
+// rebuild scheduler read the child's state, so the disk still reads
+// dead, then replacement-pending, and RebuildPending brings it back.
+func TestShardGroupVolumeLifecycleReachesScheduler(t *testing.T) {
 	s, backends := newTestShard(t, 3, 64, []int{3, 3}, Config{})
-	shardPayload(t, s, 9)
+	payload := shardPayload(t, s, 9)
 	const gid = 0
 	lost := raid.DiskID{Role: raid.RoleMirror, Index: 0}
-	// Fail through the *child* directly — the placement table only
-	// learns about it from SyncPlacement, as it would for auto-fails.
 	child, _ := s.GroupVolume(gid)
 	if err := child.Fail(lost); err != nil {
 		t.Fatal(err)
 	}
-	s.SyncPlacement()
-	if d, _ := s.Placement().Device(gid, lost); d.State != DeviceDead || d.IncompleteStripes != 3 {
-		t.Fatalf("after sync: %+v", d)
+	if d := placed(t, s, gid, lost); d.State != DeviceDead || d.IncompleteStripes != 3 {
+		t.Fatalf("after child Fail: %+v", d)
 	}
-	// Replacement-pending survives a sync (the scheduler's queue).
-	if err := s.ReplaceBackend(gid, lost, backends[gid].replace(lost)); err != nil {
+	if err := child.ReplaceBackend(lost, backends[gid].replace(lost)); err != nil {
 		t.Fatal(err)
 	}
-	s.SyncPlacement()
-	if d, _ := s.Placement().Device(gid, lost); d.State != DeviceReplacementPending {
-		t.Fatalf("pending lost across sync: %+v", d)
+	if d := placed(t, s, gid, lost); d.State != DeviceReplacementPending {
+		t.Fatalf("after child ReplaceBackend: %+v", d)
 	}
 	if err := s.RebuildPending(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	s.SyncPlacement()
-	if d, _ := s.Placement().Device(gid, lost); d.State != DeviceOnline || d.IncompleteStripes != 0 {
-		t.Fatalf("after rebuild+sync: %+v", d)
+	if d := placed(t, s, gid, lost); d.State != DeviceOnline || d.IncompleteStripes != 0 {
+		t.Fatalf("after RebuildPending: %+v", d)
+	}
+	if st := s.Stats(); st.Rebuilds != 1 {
+		t.Fatalf("scheduler ran %d rebuilds, want 1", st.Rebuilds)
+	}
+	assertRebuiltClean(t, s, payload)
+}
+
+// assertRebuiltClean checks every byte reads back and a scrub covers
+// every disk with no mismatch.
+func assertRebuiltClean(t *testing.T, s *ShardedVolume, payload []byte) {
+	t.Helper()
+	got := make([]byte, s.Size())
+	if _, err := s.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("payload mismatch after rebuild")
+	}
+	rep, err := s.Scrub(context.Background())
+	if err != nil || len(rep.Skipped) != 0 {
+		t.Fatalf("scrub after rebuild: skipped %v, err %v", rep.Skipped, err)
+	}
+}
+
+// TestShardAutoFailedDiskIsRebuilt kills one backend and rewrites
+// through the shard, so the child auto-fails the disk. The placement
+// table must say dead (agreeing with the same snapshot's per-group
+// backend), and the documented ReplaceBackend → RebuildPending
+// sequence must rebuild it.
+func TestShardAutoFailedDiskIsRebuilt(t *testing.T) {
+	s, backends := newTestShard(t, 3, 64, []int{3, 3}, Config{})
+	shardPayload(t, s, 14)
+	const gid = 1
+	lost := raid.DiskID{Role: raid.RoleMirror, Index: 1}
+	backends[gid].servers[lost].Close()
+	payload := shardPayload(t, s, 15)
+
+	st := s.Stats()
+	var failed bool
+	for _, b := range st.PerGroup[gid].Cluster.Backends {
+		failed = failed || (b.Disk == lost.String() && b.Failed)
+	}
+	if !failed {
+		t.Fatal("rewrite over a killed backend did not auto-fail the disk")
+	}
+	for _, d := range st.Placement.Devices {
+		if d.Group == gid && d.Disk == lost.String() && d.State != DeviceDead {
+			t.Fatalf("auto-failed disk placed %+v, want dead", d)
+		}
+	}
+	if err := s.ReplaceBackend(gid, lost, backends[gid].replace(lost)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RebuildPending(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if d := placed(t, s, gid, lost); d.State != DeviceOnline || d.Replacement {
+		t.Fatalf("after RebuildPending: %+v", d)
+	}
+	assertRebuiltClean(t, s, payload)
+}
+
+// TestShardRebuildHealthyDiskStaysOnline: RebuildDisk on a disk that
+// is not failed is rejected by the child, and the device stays online.
+func TestShardRebuildHealthyDiskStaysOnline(t *testing.T) {
+	s, _ := newTestShard(t, 2, 32, []int{2, 2}, Config{})
+	shardPayload(t, s, 16)
+	healthy := raid.DiskID{Role: raid.RoleData, Index: 0}
+	if err := s.RebuildDisk(context.Background(), 0, healthy); err == nil {
+		t.Fatal("rebuild of a healthy disk succeeded")
+	}
+	if d := placed(t, s, 0, healthy); d.State != DeviceOnline {
+		t.Fatalf("healthy disk placed %+v after rejected rebuild", d)
+	}
+	st := s.Stats()
+	if r := st.Placement.Rollup; r.Online != 8 || r.ReplacementPending != 0 {
+		t.Fatalf("rollup after rejected rebuild: %+v", r)
+	}
+	if st.RebuildErrors != 1 || st.Rebuilds != 0 {
+		t.Fatalf("rebuild counters: %d errors, %d rebuilds", st.RebuildErrors, st.Rebuilds)
 	}
 }
 
@@ -505,7 +595,6 @@ func TestShardMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, _ := newTestShard(t, 2, 32, []int{2, 2}, Config{Metrics: reg})
 	shardPayload(t, s, 10)
-	s.SyncPlacement()
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -560,8 +649,8 @@ func TestShardStatsJSON(t *testing.T) {
 			t.Fatalf("state did not survive JSON: %+v", d)
 		}
 	}
-	h := s.Health()
-	if h.Groups != 2 || h.Devices.ReplacementPending != 1 {
+	h := s.Stats()
+	if h.Groups != 2 || h.Placement.Rollup.ReplacementPending != 1 {
 		t.Fatalf("health: %+v", h)
 	}
 }
@@ -654,7 +743,8 @@ func TestShardRemoveGroupCancelRetry(t *testing.T) {
 }
 
 // TestShardManagementDuringTopologyChange hammers the management
-// surface (stats rollups, placement sync) while groups are being
+// surface (stats rollups, placement derivation, the scheduler's queue)
+// while groups are being
 // removed. The management paths pin child volumes by refcount, so
 // RemoveGroup's Close must wait for them to drain — without that, this
 // test races a child's Close against in-flight Stats/Watermark calls
@@ -675,8 +765,8 @@ func TestShardManagementDuringTopologyChange(t *testing.T) {
 				default:
 				}
 				s.Stats()
-				s.SyncPlacement()
-				s.Health()
+				s.Placement()
+				s.pressure()
 			}
 		}()
 	}

@@ -1,16 +1,19 @@
 package shard
 
 import (
+	"sort"
+
 	"shiftedmirror/internal/cluster"
 	"shiftedmirror/internal/obs"
+	"shiftedmirror/internal/raid"
 )
 
 // shardStats holds the shard layer's own live instrumentation. The
-// first block is updated inline by the data path; the rollup gauges are
-// recomputed from the placement table and the children's counters on
-// every refreshRollups (Stats, SyncPlacement, and lifecycle changes),
-// so a scrape between refreshes sees slightly stale aggregates but
-// always-fresh data-path counters.
+// first block is updated inline by the data path. The rollup gauges are
+// derived from the children: the placement gauges on every
+// refreshRollups (Stats and lifecycle changes), the summed child
+// counters on every Stats. A scrape between refreshes sees slightly
+// stale aggregates but always-fresh data-path counters.
 type shardStats struct {
 	reads, writes         obs.Counter
 	readBytes, writeBytes obs.Counter
@@ -24,7 +27,7 @@ type shardStats struct {
 	readLat         *obs.Histogram
 	writeLat        *obs.Histogram
 
-	// Rollups over the placement table and child volumes.
+	// Rollups over the derived placement table and child volumes.
 	groups        obs.Gauge
 	extents       obs.Gauge
 	devOnline     obs.Gauge
@@ -59,7 +62,7 @@ func (st *shardStats) register(reg *obs.Registry) {
 	reg.RegisterCounter("sm_shard_rebuilds_total",
 		"Completed rebuilds through the sharded surface.", &st.rebuilds)
 	reg.RegisterCounter("sm_shard_rebuild_errors_total",
-		"Rebuilds that failed and returned their device to replacement-pending.", &st.rebuildErrors)
+		"RebuildDisk calls through the sharded surface that returned an error, including calls the child volume rejected (disk not failed, rebuild already running).", &st.rebuildErrors)
 	reg.RegisterCounter("sm_shard_migrated_extents_total",
 		"Extents copied between groups by RemoveGroup migrations.", &st.migratedExtents)
 	reg.RegisterGauge("sm_shard_rebuilds_active",
@@ -90,42 +93,42 @@ func (st *shardStats) register(reg *obs.Registry) {
 		"Lowest rebuild watermark across every device — the volume's availability frontier.", &st.minWatermark)
 }
 
-// refreshRollups recomputes the aggregate gauges from the placement
-// table and the children's own counters.
-func (s *ShardedVolume) refreshRollups() {
-	gs := s.pinAll()
-	defer unpinAll(gs)
+// refreshRollups derives the placement table from the children's
+// state in one pass, sets the placement gauges from it, and returns it
+// (see Placement).
+func (s *ShardedVolume) refreshRollups() Snapshot {
+	var snap Snapshot
+	minWM := int64(-1)
+	s.eachDevice(func(d Device, _ raid.DiskID, wm int64) {
+		snap.Devices = append(snap.Devices, d)
+		snap.Rollup.add(d)
+		if minWM < 0 || wm < minWM {
+			minWM = wm
+		}
+	})
+	sort.Slice(snap.Devices, func(i, j int) bool {
+		a, b := snap.Devices[i], snap.Devices[j]
+		if a.Group != b.Group {
+			return a.Group < b.Group
+		}
+		return a.Disk < b.Disk
+	})
+	if minWM < 0 {
+		minWM = 0
+	}
 	s.mu.RLock()
-	extents := len(s.extents)
+	groups, extents := len(s.groups), len(s.extents)
 	s.mu.RUnlock()
-
-	r := s.table.Rollup()
-	s.stats.groups.Set(int64(len(gs)))
+	r := snap.Rollup
+	s.stats.groups.Set(int64(groups))
 	s.stats.extents.Set(int64(extents))
 	s.stats.devOnline.Set(int64(r.Online))
 	s.stats.devDead.Set(int64(r.Dead))
 	s.stats.devPending.Set(int64(r.ReplacementPending))
 	s.stats.devRebuilding.Set(int64(r.Rebuilding))
 	s.stats.maxIncomplete.Set(r.MaxIncompleteness)
-
-	var degraded, crc int64
-	minWM := int64(-1)
-	for _, g := range gs {
-		h := g.vol.Health()
-		degraded += h.DegradedReads
-		crc += g.vol.Stats().CRCReadErrors
-		for _, id := range g.vol.Arch().Disks() {
-			if wm := g.vol.Watermark(id); minWM < 0 || wm < minWM {
-				minWM = wm
-			}
-		}
-	}
-	if minWM < 0 {
-		minWM = 0
-	}
-	s.stats.degradedReads.Set(degraded)
-	s.stats.crcReadErrors.Set(crc)
 	s.stats.minWatermark.Set(minWM)
+	return snap
 }
 
 // GroupStats pairs a group id with its child volume's full snapshot.
@@ -164,23 +167,11 @@ type Stats struct {
 	PerGroup  []GroupStats `json:"per_group"`
 }
 
-// Health is the light-weight rollup an operator polls: group and device
-// counts plus the exposure aggregates, without histograms or per-
-// backend detail.
-type Health struct {
-	Groups              int          `json:"groups"`
-	SizeBytes           int64        `json:"size_bytes"`
-	Devices             DeviceRollup `json:"devices"`
-	DegradedReads       int64        `json:"degraded_reads"`
-	RebuildActive       int64        `json:"rebuild_active"`
-	MinWatermarkStripes int64        `json:"min_watermark_stripes"`
-}
-
 // Stats returns the full snapshot. It refreshes the rollup gauges as a
 // side effect, so a metrics scrape right after Stats sees the same
 // aggregates.
 func (s *ShardedVolume) Stats() Stats {
-	s.refreshRollups()
+	placement := s.refreshRollups()
 	gs := s.pinAll()
 	defer unpinAll(gs)
 	s.mu.RLock()
@@ -202,34 +193,20 @@ func (s *ShardedVolume) Stats() Stats {
 		Extents:   extents,
 		SizeBytes: int64(extents) * s.stripeB,
 
-		DegradedReads:       s.stats.degradedReads.Load(),
-		CRCReadErrors:       s.stats.crcReadErrors.Load(),
 		MinWatermarkStripes: s.stats.minWatermark.Load(),
 
 		ReadLatency:  s.stats.readLat.Snapshot(),
 		WriteLatency: s.stats.writeLat.Snapshot(),
 
-		Placement: s.table.Snapshot(),
+		Placement: placement,
 	}
 	for _, g := range gs {
-		out.PerGroup = append(out.PerGroup, GroupStats{Group: g.id, Cluster: g.vol.Stats()})
+		cs := g.vol.Stats()
+		out.DegradedReads += cs.DegradedReads
+		out.CRCReadErrors += cs.CRCReadErrors
+		out.PerGroup = append(out.PerGroup, GroupStats{Group: g.id, Cluster: cs})
 	}
+	s.stats.degradedReads.Set(out.DegradedReads)
+	s.stats.crcReadErrors.Set(out.CRCReadErrors)
 	return out
-}
-
-// Health returns the light rollup.
-func (s *ShardedVolume) Health() Health {
-	s.refreshRollups()
-	s.mu.RLock()
-	extents := len(s.extents)
-	groups := len(s.groups)
-	s.mu.RUnlock()
-	return Health{
-		Groups:              groups,
-		SizeBytes:           int64(extents) * s.stripeB,
-		Devices:             s.table.Rollup(),
-		DegradedReads:       s.stats.degradedReads.Load(),
-		RebuildActive:       s.stats.rebuildActive.Load(),
-		MinWatermarkStripes: s.stats.minWatermark.Load(),
-	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // Sharded multi-group volume: one logical address space striped across
-// many shifted-mirror groups, routed through a replica/placement table.
+// many shifted-mirror groups, with a replica/placement table derived
+// from the groups' own disk state.
 // A rebuild stays confined to its group — the other groups' backends
 // serve zero rebuild traffic — while capacity and aggregate bandwidth
 // scale with the group count instead of being capped at n disks. See
@@ -25,21 +26,18 @@ type (
 	// shard routing counters, the placement table, and every group's
 	// full ClusterStats.
 	ShardStats = shard.Stats
-	// ShardHealth is ShardedVolume.Health()'s light rollup.
-	ShardHealth = shard.Health
 	// ShardScrubReport is the merged coverage of a sharded Scrub pass.
 	ShardScrubReport = shard.ScrubReport
 	// ShardExtent maps one logical stripe slot to its (group, stripe)
 	// home.
 	ShardExtent = shard.Extent
 
-	// PlacementTable tracks device→group assignment and per-device state
-	// (online / dead / replacement-pending / rebuilding) with per-disk
-	// incompleteness stats; it marshals to JSON for smtool inspection.
-	PlacementTable = shard.PlacementTable
 	// PlacementDevice is one backend slot of the placement table.
 	PlacementDevice = shard.Device
-	// PlacementSnapshot is the table's JSON form: devices plus rollup.
+	// PlacementSnapshot is ShardedVolume.Placement()'s table, derived
+	// from the groups' own disk state: every device slot (online / dead
+	// / replacement-pending / rebuilding, with its incompleteness) plus
+	// the rollup. It marshals to JSON for smtool inspection.
 	PlacementSnapshot = shard.Snapshot
 	// DeviceState is a placement-table device's lifecycle state.
 	DeviceState = shard.DeviceState

@@ -369,8 +369,6 @@ type (
 	ClusterConfig = cluster.Config
 	// ClusterStats is ClusterVolume.Stats()'s JSON-marshalable snapshot.
 	ClusterStats = cluster.Stats
-	// ClusterHealth is ClusterVolume.Health()'s snapshot.
-	ClusterHealth = cluster.Health
 	// ScrubReport is ClusterVolume.Scrub's coverage report.
 	ScrubReport = cluster.ScrubReport
 
